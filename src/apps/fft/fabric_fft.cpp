@@ -82,106 +82,46 @@ TwiddleTable twiddle_patch_table(const FftGeometry& g) {
   return table;
 }
 
-FabricFftResult run_fabric_fft(const FftGeometry& g,
-                               const std::vector<Cplx>& input,
-                               const FabricFftOptions& opt) {
-  FabricFftResult result;
-  if (static_cast<int>(input.size()) != g.n) {
-    result.status = Status::errorf("input size %zu does not match n=%d",
-                                   input.size(), g.n);
-    return result;
-  }
-  const int cols = opt.cols;
+FabricFftPlan compile_plan(
+    const FftGeometry& g, int cols,
+    const std::function<isa::Program(const std::string&)>& assemble_override,
+    const TwiddleTable* twiddles) {
+  FabricFftPlan plan;
+  plan.geometry = g;
+  plan.cols = cols;
   if (cols < 1 || g.stages % cols != 0) {
-    result.status = Status::errorf(
+    plan.status = Status::errorf(
         "cols=%d must be positive and divide log2(n)=%d", cols, g.stages);
-    return result;
+    return plan;
   }
   const int spc = g.stages / cols;  // stage slots per column
   const auto stage_col = [spc](int stage) { return stage / spc; };
 
   const TileLayout lay = make_layout(g.m);
-  const auto assemble = opt.assemble
-                            ? opt.assemble
-                            : [](const std::string& s) { return must_assemble(s); };
-  std::optional<fabric::Fabric> local;
-  if (opt.fabric == nullptr) local.emplace(g.rows, cols);
-  fabric::Fabric& fab = opt.fabric != nullptr ? *opt.fabric : *local;
-  if (fab.rows() != g.rows || fab.cols() != cols) {
-    result.status = Status::errorf(
-        "borrowed fabric is %dx%d, geometry needs %dx%d", fab.rows(),
-        fab.cols(), g.rows, cols);
-    return result;
-  }
+  // A plan outlives its compile (the service caches it), so its programs
+  // keep only what the ICAP streams: code and data, without the
+  // assembler's symbol tables or spare vector capacity.
+  const auto assemble = [&](const std::string& src) {
+    isa::Program prog =
+        assemble_override ? assemble_override(src) : must_assemble(src);
+    prog.labels.clear();
+    prog.symbols.clear();
+    prog.code.shrink_to_fit();
+    prog.data.shrink_to_fit();
+    return prog;
+  };
   const auto tidx = [cols](int row, int col) { return row * cols + col; };
-  ReconfigController ctrl(IcapModel{},
-                          interconnect::LinkCostModel{opt.link_cost_ns});
-  ctrl.set_fault_options(opt.icap_faults);
-  ctrl.attach_timeline(opt.spans);
-  fab.attach_metrics(opt.metrics);
-  config::Timeline& timeline = result.timeline;
-
-  /// Every exit past this point goes through finish() so the profile is
-  /// available even for runs that end early on a fault.
-  auto finish = [&]() -> FabricFftResult& {
-    if (opt.collect_profile) {
-      result.profile = config::build_profile(fab, timeline);
-    }
-    return result;
-  };
-
-  auto run_epoch = [&](const EpochConfig& epoch) -> bool {
-    const auto report = ctrl.apply(fab, epoch);
-    timeline.reconfig_ns += report.total_ns();
-    timeline.transitions.push_back(report);
-    const Nanoseconds epoch_start_ns = cycles_to_ns(fab.now());
-    const auto run = fab.run(opt.max_cycles_per_epoch);
-    timeline.epoch_compute_ns += run.elapsed_ns();
-    timeline.epoch_cycles.push_back(run.cycles);
-    if (opt.spans != nullptr) {
-      opt.spans->complete(epoch.name, "epoch", obs::kTrackEpochs,
-                          epoch_start_ns, run.elapsed_ns(),
-                          {{"cycles", std::to_string(run.cycles), true}});
-    }
-    ++result.epochs;
-    if (!run.ok()) {
-      result.faults = run.faults;
-      result.status =
-          run.faults.empty()
-              ? Status::errorf("epoch '%s' exceeded the %lld-cycle budget",
-                               epoch.name.c_str(),
-                               static_cast<long long>(
-                                   opt.max_cycles_per_epoch))
-              : Status::errorf("epoch '%s' ended with %zu fault(s): %s",
-                               epoch.name.c_str(), run.faults.size(),
-                               run.faults.front().describe().c_str());
-      return false;
-    }
-    return true;
-  };
-
   const LinkConfig no_links(g.rows, cols);
+  const auto add_epoch = [&plan](EpochConfig epoch, bool redistribution) {
+    plan.epochs.push_back(PlanEpoch{std::move(epoch), redistribution});
+    if (redistribution) ++plan.redistribution_subepochs;
+  };
 
-  // ---- preprocessing: scatter scaled inputs to the stage-0 arrangement ----
-  {
-    EpochConfig load;
-    load.name = "input-scramble";
-    load.links = no_links;
-    const double scale = 1.0 / static_cast<double>(g.n);
-    std::map<int, std::vector<isa::DataPatch>> per_tile;
-    for (int e = 0; e < g.n; ++e) {
-      const ElementPos pos = element_position(g, 0, e);
-      per_tile[tidx(pos.row, 0)].push_back(isa::DataPatch{
-          lay.x + pos.slot,
-          pack_complex(to_fixed(input[static_cast<std::size_t>(e)] * scale))});
-    }
-    for (auto& [tile, patches] : per_tile) {
-      TileUpdate update;
-      update.patches = std::move(patches);
-      update.restart = false;
-      load.tiles[tile] = std::move(update);
-    }
-    if (!run_epoch(load)) return finish();
+  // ---- preprocessing: where each input lands in the stage-0 arrangement ----
+  plan.scatter.reserve(static_cast<std::size_t>(g.n));
+  for (int e = 0; e < g.n; ++e) {
+    const ElementPos pos = element_position(g, 0, e);
+    plan.scatter.push_back(WordSlot{tidx(pos.row, 0), lay.x + pos.slot});
   }
 
   const isa::Program bf_prog = assemble(bf_pair_source(lay));
@@ -205,13 +145,12 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
         update.reload_program = true;
         kernel_resident[static_cast<std::size_t>(tile)] = true;
       }
-      update.patches = opt.twiddles != nullptr
-                           ? opt.twiddles->at(s, row)
-                           : twiddle_patches(g, lay, row, s);
+      update.patches = twiddles != nullptr ? twiddles->at(s, row)
+                                           : twiddle_patches(g, lay, row, s);
       update.restart = true;
       bf.tiles[tile] = std::move(update);
     }
-    if (!run_epoch(bf)) return finish();
+    add_epoch(std::move(bf), false);
     if (s + 1 == g.stages) break;
 
     // ---- redistribution to the stage-(s+1) arrangement ----
@@ -265,9 +204,9 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
     int guard = 0;
     while (!all_done()) {
       if (++guard > 8 * (g.rows + cols) + 64) {
-        result.status =
+        plan.status =
             Status::errorf("redistribution livelock after stage %d", s);
-        return finish();
+        return plan;
       }
       bool progress = false;
 
@@ -342,8 +281,7 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
           hop.tiles[tile] = std::move(update);
           kernel_resident[static_cast<std::size_t>(tile)] = false;
         }
-        if (!run_epoch(hop)) return finish();
-        ++result.redistribution_subepochs;
+        add_epoch(std::move(hop), true);
 
         for (Move* mv : advancing) {
           if (mv->in_transit) {
@@ -382,8 +320,7 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
             apply.tiles[tile] = std::move(update);
             kernel_resident[static_cast<std::size_t>(tile)] = false;
           }
-          if (!run_epoch(apply)) return finish();
-          ++result.redistribution_subepochs;
+          add_epoch(std::move(apply), true);
           for (Move* mv : applying) {
             occupied.erase({mv->dst_tile, mv->dst_slot});
             mv->applied = true;
@@ -393,22 +330,132 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
       }
 
       if (!progress) {
-        result.status =
-            Status::errorf("redistribution stuck after stage %d", s);
-        return finish();
+        plan.status = Status::errorf("redistribution stuck after stage %d", s);
+        return plan;
       }
     }
   }
 
   // ---- readback: stage-(S-1) arrangement, then bit-reversal ----
-  result.output.assign(static_cast<std::size_t>(g.n), Cplx{});
-  const int bits = g.stages;
+  plan.readback.resize(static_cast<std::size_t>(g.n));
   const int last_col = stage_col(g.stages - 1);
   for (int e = 0; e < g.n; ++e) {
     const ElementPos pos = element_position(g, g.stages - 1, e);
-    const Word w = fab.tile(tidx(pos.row, last_col)).dmem(lay.x + pos.slot);
-    result.output[bit_reverse(static_cast<std::size_t>(e), bits)] =
-        to_double(unpack_complex(w));
+    plan.readback[bit_reverse(static_cast<std::size_t>(e), g.stages)] =
+        WordSlot{tidx(pos.row, last_col), lay.x + pos.slot};
+  }
+  plan.status = Status();
+  return plan;
+}
+
+FabricFftResult run_fabric_fft(const FftGeometry& g,
+                               const std::vector<Cplx>& input,
+                               const FabricFftOptions& opt) {
+  FabricFftResult result;
+  if (static_cast<int>(input.size()) != g.n) {
+    result.status = Status::errorf("input size %zu does not match n=%d",
+                                   input.size(), g.n);
+    return result;
+  }
+  std::optional<FabricFftPlan> compiled;
+  if (opt.plan == nullptr) {
+    compiled.emplace(compile_plan(g, opt.cols, opt.assemble, opt.twiddles));
+  }
+  const FabricFftPlan& plan = opt.plan != nullptr ? *opt.plan : *compiled;
+  if (!plan.ok()) {
+    result.status = plan.status;
+    return result;
+  }
+  if (plan.geometry.n != g.n || plan.geometry.m != g.m ||
+      plan.cols != opt.cols) {
+    result.status = Status::errorf(
+        "plan is for n=%d m=%d cols=%d, the run needs n=%d m=%d cols=%d",
+        plan.geometry.n, plan.geometry.m, plan.cols, g.n, g.m, opt.cols);
+    return result;
+  }
+  const int cols = plan.cols;
+
+  std::optional<fabric::Fabric> local;
+  if (opt.fabric == nullptr) local.emplace(g.rows, cols);
+  fabric::Fabric& fab = opt.fabric != nullptr ? *opt.fabric : *local;
+  if (fab.rows() != g.rows || fab.cols() != cols) {
+    result.status = Status::errorf(
+        "borrowed fabric is %dx%d, geometry needs %dx%d", fab.rows(),
+        fab.cols(), g.rows, cols);
+    return result;
+  }
+  ReconfigController ctrl(IcapModel{},
+                          interconnect::LinkCostModel{opt.link_cost_ns});
+  ctrl.set_fault_options(opt.icap_faults);
+  ctrl.attach_timeline(opt.spans);
+  fab.attach_metrics(opt.metrics);
+  config::Timeline& timeline = result.timeline;
+
+  /// Every exit past this point goes through finish() so the profile is
+  /// available even for runs that end early on a fault.
+  auto finish = [&]() -> FabricFftResult& {
+    if (opt.collect_profile) {
+      result.profile = config::build_profile(fab, timeline);
+    }
+    return result;
+  };
+
+  auto run_epoch = [&](const EpochConfig& epoch) -> bool {
+    const auto report = ctrl.apply(fab, epoch);
+    timeline.reconfig_ns += report.total_ns();
+    timeline.transitions.push_back(report);
+    const Nanoseconds epoch_start_ns = cycles_to_ns(fab.now());
+    const auto run = fab.run(opt.max_cycles_per_epoch);
+    timeline.epoch_compute_ns += run.elapsed_ns();
+    timeline.epoch_cycles.push_back(run.cycles);
+    if (opt.spans != nullptr) {
+      opt.spans->complete(epoch.name, "epoch", obs::kTrackEpochs,
+                          epoch_start_ns, run.elapsed_ns(),
+                          {{"cycles", std::to_string(run.cycles), true}});
+    }
+    ++result.epochs;
+    if (!run.ok()) {
+      result.faults = run.faults;
+      result.status =
+          run.faults.empty()
+              ? Status::errorf("epoch '%s' exceeded the %lld-cycle budget",
+                               epoch.name.c_str(),
+                               static_cast<long long>(
+                                   opt.max_cycles_per_epoch))
+              : Status::errorf("epoch '%s' ended with %zu fault(s): %s",
+                               epoch.name.c_str(), run.faults.size(),
+                               run.faults.front().describe().c_str());
+      return false;
+    }
+    return true;
+  };
+
+  // The job's own data: the scaled inputs, patched into the stage-0 slots.
+  {
+    EpochConfig load;
+    load.name = "input-scramble";
+    load.links = LinkConfig(g.rows, cols);
+    const double scale = 1.0 / static_cast<double>(g.n);
+    for (std::size_t e = 0; e < plan.scatter.size(); ++e) {
+      const WordSlot slot = plan.scatter[e];
+      TileUpdate& update = load.tiles[slot.tile];
+      update.restart = false;
+      update.patches.push_back(isa::DataPatch{
+          slot.addr, pack_complex(to_fixed(input[e] * scale))});
+    }
+    if (!run_epoch(load)) return finish();
+  }
+
+  for (const PlanEpoch& epoch : plan.epochs) {
+    if (!run_epoch(epoch.config)) return finish();
+    if (epoch.redistribution) ++result.redistribution_subepochs;
+  }
+
+  result.output.resize(plan.readback.size());
+  for (std::size_t k = 0; k < plan.readback.size(); ++k) {
+    const WordSlot slot = plan.readback[k];
+    result.output[k] =
+        to_double(unpack_complex(fab.tile(slot.tile).dmem(slot.addr)));
   }
   result.status = Status();
   return finish();

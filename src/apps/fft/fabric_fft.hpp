@@ -19,12 +19,28 @@
 //     33.33 ns/word); the TwiddleManager quantifies how much of that an
 //     optimised schedule avoids.
 //
+// None of that planning depends on the input, so it is split from the run:
+//
+//   * compile_plan(g, cols) does all of it once — the redistribution move
+//     planning, every epoch's links and tile updates (programs assembled,
+//     twiddle patches attached), the input scatter map and the readback
+//     map — and returns an immutable FabricFftPlan;
+//   * run_fabric_fft replays a plan: it writes the job's input-scramble
+//     patches, then streams every plan epoch through the reconfiguration
+//     controller and runs the fabric after each, exactly as the MicroBlaze
+//     streams partial bitstreams prepared offline.
+//
+// A plan depends only on (n, m, cols); the link cost and ICAP fault knobs
+// reach the controller at replay.  The job service caches one plan per
+// geometry and replays it for every job.
+//
 // Output is compared against the double-precision reference in the tests;
 // inputs are pre-scaled by 1/N so the Q3.20 samples cannot overflow.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "apps/fft/partition.hpp"
@@ -55,6 +71,46 @@ struct TwiddleTable {
 /// Build the full twiddle table for `g` (stage-major, Fig. 6/8 layout).
 TwiddleTable twiddle_patch_table(const FftGeometry& g);
 
+/// A data word's home: tile index and data-memory address.
+struct WordSlot {
+  int tile = 0;
+  int addr = 0;
+};
+
+/// One compiled epoch: the configuration streamed in before the fabric
+/// runs, and whether it is a redistribution sub-epoch (hop or apply).
+struct PlanEpoch {
+  config::EpochConfig config;
+  bool redistribution = false;
+};
+
+/// Everything an FFT run does that does not depend on the input, for one
+/// (n, m, cols).  Immutable once compiled; safe to share between threads.
+/// (fft::FftPlan is the unrelated host reference transform's plan.)
+struct FabricFftPlan {
+  Status status = Status::error("FFT plan was not compiled");
+  FftGeometry geometry;
+  int cols = 1;
+  /// Element e of the input lands at scatter[e] (the input-scramble epoch).
+  std::vector<WordSlot> scatter;
+  /// The epochs after the input scramble, in order: butterfly stages and
+  /// the redistribution hop/apply sub-epochs between them.
+  std::vector<PlanEpoch> epochs;
+  /// Natural-order output k is read from readback[k] after the last epoch.
+  std::vector<WordSlot> readback;
+  std::int64_t redistribution_subepochs = 0;
+
+  [[nodiscard]] bool ok() const noexcept { return status.ok(); }
+};
+
+/// Compile the plan for `g` on `cols` tile columns.  `assemble` overrides
+/// must_assemble and `twiddles` (matching g) replaces per-stage twiddle
+/// derivation; both only save work, the plan is the same either way.
+FabricFftPlan compile_plan(
+    const FftGeometry& g, int cols,
+    const std::function<isa::Program(const std::string&)>& assemble = {},
+    const TwiddleTable* twiddles = nullptr);
+
 /// Options for a fabric FFT run.
 struct FabricFftOptions {
   Nanoseconds link_cost_ns = 100.0;   ///< Per-link reconfiguration cost L.
@@ -78,18 +134,19 @@ struct FabricFftOptions {
   bool collect_profile = false;
 
   // --- warm-runtime hooks (src/service); all default-off.  With none set
-  // the run constructs everything fresh, exactly as before. ---
+  // the run compiles its own plan and constructs a fresh fabric. ---
+  /// Compiled plan to replay (not owned); must match (g, cols).  When
+  /// null the run compiles one, using `assemble` and `twiddles`.
+  const FabricFftPlan* plan = nullptr;
   /// Borrowed fabric to run on instead of constructing one.  Must be a
   /// rows x cols mesh in construction state (fresh or Fabric::reset());
   /// the run leaves it dirty — the caller resets before reuse.
   fabric::Fabric* fabric = nullptr;
-  /// Assembler override; defaults to must_assemble.  A content-addressed
-  /// cache hook: the same source always assembles to the same program, so
-  /// a warm runtime can skip re-assembly of recurring kernels and copy
-  /// programs entirely.
+  /// Assembler override for the plan compile; defaults to must_assemble.
+  /// Unused when `plan` is set.
   std::function<isa::Program(const std::string&)> assemble;
-  /// Pre-computed twiddle patches for this geometry (not owned); must match
-  /// (g, m) when set.
+  /// Pre-computed twiddle patches for the plan compile (not owned); must
+  /// match (g, m) when set.  Unused when `plan` is set.
   const TwiddleTable* twiddles = nullptr;
 };
 
@@ -116,7 +173,8 @@ struct ElementPos {
 };
 ElementPos element_position(const FftGeometry& g, int stage, int e);
 
-/// Run the FFT of `input` (size g.n) on a fresh rows x opt.cols fabric.
+/// Run the FFT of `input` (size g.n) on a rows x opt.cols fabric: replay
+/// opt.plan, or a plan compiled for this call.
 FabricFftResult run_fabric_fft(const FftGeometry& g,
                                const std::vector<Cplx>& input,
                                const FabricFftOptions& opt = {});

@@ -242,7 +242,11 @@ BlockPipeline::BlockPipeline(fabric::Fabric& fab,
     if (t == 2) update.patches = art.recips;
     setup.tiles[t] = std::move(update);
   }
-  setup_ns_ = ctrl.apply(fab_, setup).total_ns();
+  const auto report = ctrl.apply(fab_, setup);
+  setup_ns_ = report.total_ns();
+  // The setup epoch owns its ICAP stall: wait it out here so that every
+  // encode(), the first included, runs on an already configured pipeline.
+  fab_.idle_until(report.complete_cycle);
 }
 
 FabricBlockResult BlockPipeline::encode(const IntBlock& raw) {
@@ -591,19 +595,36 @@ FabricStreamResult encode_blocks_on_fabric_stream(
       prologue + zigzag_source(lay),
   };
 
+  // One setup epoch through the ICAP (programs + constant tables), as in
+  // BlockPipeline; its stall is waited out before the first beat.
   fabric::Fabric fab(1, kStages);
+  config::ReconfigController ctrl(IcapModel{}, interconnect::LinkCostModel{});
+  config::EpochConfig setup;
+  setup.name = "jpeg-stream-setup";
+  setup.links = interconnect::LinkConfig(1, kStages);
   for (int t = 0; t + 1 < kStages; ++t) {
-    fab.links().set_output(t, Direction::kEast);
+    setup.links.set_output(t, Direction::kEast);
   }
   for (int t = 0; t < kStages; ++t) {
-    if (!fab.tile(t).load_program(must_assemble(srcs[static_cast<std::size_t>(t)]))) {
+    config::TileUpdate update;
+    update.program = must_assemble(srcs[static_cast<std::size_t>(t)]);
+    update.reload_program = true;
+    update.restart = false;  // restarted per beat below
+    if (t == 1) update.patches = basis_patches(lay);
+    if (t == 2) update.patches = recip_patches(lay, quant);
+    setup.tiles[t] = std::move(update);
+  }
+  const auto report = ctrl.apply(fab, setup);
+  result.setup_reconfig_ns = report.total_ns();
+  for (int t = 0; t < kStages; ++t) {
+    const auto& prog = setup.tiles.at(t).program;
+    if (fab.tile(t).code_size() != static_cast<int>(prog.code.size())) {
       // Cannot happen (program sizes are asserted in tests).
       result.status = Status::errorf("stage %d program too large", t);
       return result;
     }
   }
-  fab.tile(1).patch_data(basis_patches(lay));
-  fab.tile(2).patch_data(recip_patches(lay, quant));
+  fab.idle_until(report.complete_cycle);
 
   // Beats: in beat b tile t works on block b - t.  The pipe drains after
   // blocks.size() + kStages - 1 beats.

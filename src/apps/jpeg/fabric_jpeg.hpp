@@ -123,9 +123,10 @@ JpegPipelineArtifacts make_pipeline_artifacts(const std::array<int, 64>& quant);
 
 /// The 1x4 transform pipeline kept configured on a borrowed fabric: the
 /// setup epoch (programs + tables, one ICAP stream) is paid once in the
-/// constructor, then encode() runs blocks back to back with no further
-/// reconfiguration — the reset-and-reuse hot path of the job service.
-/// Each encode() is bit-identical (output and cycle count) to a fresh
+/// constructor, which also waits out its ICAP stall, then encode() runs
+/// blocks back to back with no further reconfiguration — the
+/// reset-and-reuse hot path of the job service.  Each encode(), the first
+/// included, is bit-identical (output and cycle count) to a fresh
 /// encode_block_on_fabric() call, which delegates here.
 class BlockPipeline {
  public:
@@ -160,6 +161,8 @@ struct FabricStreamResult {
   std::vector<IntBlock> zigzagged;     ///< One output per input block.
   std::vector<std::int64_t> beat_cycles;  ///< Cycles of each pipeline beat.
   std::int64_t steady_ii_cycles = 0;   ///< Median beat once the pipe is full.
+  /// ICAP + link cost of the one setup epoch, paid before the first beat.
+  Nanoseconds setup_reconfig_ns = 0.0;
   Status status = Status::error("stream encode did not run");
   std::vector<Fault> faults;
 
@@ -222,7 +225,9 @@ ResilientBlockResult encode_block_resilient_on(
 /// "beat" all four tiles run concurrently on consecutive blocks (double-
 /// buffered through the P inbox), so the steady-state beat time is the
 /// executed initiation interval — directly comparable with the mapping
-/// cost model's II prediction.  Outputs match encode_block_stages().
+/// cost model's II prediction.  The pipeline is configured once, through
+/// the ICAP, before the first beat (`setup_reconfig_ns`); the beats carry
+/// no reconfiguration.  Outputs match encode_block_stages().
 FabricStreamResult encode_blocks_on_fabric_stream(
     const std::vector<IntBlock>& blocks, const std::array<int, 64>& quant);
 

@@ -238,6 +238,13 @@ void Fabric::resolve_engine() {
   }
 }
 
+void Fabric::idle_until(std::int64_t cycle) {
+  if (cycle <= cycle_ || !all_halted()) return;
+  if (metrics_ != nullptr) metrics_->add(m_cycles_, cycle - cycle_);
+  cycle_ = cycle;
+  settle_all();
+}
+
 int Fabric::step() {
   if (!engine_resolved_) resolve_engine();
   if (engine_ != nullptr) return engine_->step(*this);

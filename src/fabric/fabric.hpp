@@ -139,6 +139,12 @@ class Fabric : private TileScheduler {
   /// state, and are deliberately kept; detach them explicitly if unwanted.
   void reset();
 
+  /// Let simulated time pass while every tile is halted: move the cycle
+  /// counter forward to `cycle` (no-op when it is not ahead, or when a
+  /// tile is not halted).  The skipped cycles settle into the tiles' idle
+  /// stats and the cycle metric, as a run() over them would.
+  void idle_until(std::int64_t cycle);
+
   /// Execute one cycle: step every runnable tile, then commit remote
   /// writes.  Returns the number of tiles that retired an instruction.
   /// Idle tiles' cycle accounting is settled before this returns, so the

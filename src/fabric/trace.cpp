@@ -1,5 +1,6 @@
 #include "fabric/trace.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cgra::fabric {
@@ -34,11 +35,24 @@ void Tracer::record(const TraceEvent& ev) {
     histogram_[static_cast<std::size_t>(ev.tile)]
               [static_cast<std::size_t>(ev.opcode)] += 1;
   }
-  if (events_.size() >= capacity_) {
-    events_.erase(events_.begin());
-    ++dropped_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);
+    return;
   }
-  events_.push_back(ev);
+  ++dropped_;
+  if (capacity_ == 0) return;
+  ring_[head_] = ev;
+  head_ = (head_ + 1) % capacity_;
+}
+
+const std::vector<TraceEvent>& Tracer::events() {
+  if (head_ != 0) {
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+  }
+  return ring_;
 }
 
 std::int64_t Tracer::opcode_count(int tile, isa::Opcode op) const {
@@ -57,17 +71,18 @@ std::int64_t Tracer::tile_retirements(int tile) const {
 }
 
 void Tracer::clear() {
-  events_.clear();
+  ring_.clear();
+  head_ = 0;
   histogram_.clear();
   dropped_ = 0;
 }
 
 std::string Tracer::dump(std::size_t max_lines) const {
   std::ostringstream os;
-  const std::size_t start =
-      events_.size() > max_lines ? events_.size() - max_lines : 0;
-  for (std::size_t i = start; i < events_.size(); ++i) {
-    const auto& ev = events_[i];
+  const std::size_t n = ring_.size();
+  const std::size_t start = n > max_lines ? n - max_lines : 0;
+  for (std::size_t i = start; i < n; ++i) {
+    const auto& ev = ring_[(head_ + i) % n];
     os << "[" << ev.cycle << "] t" << ev.tile << " "
        << trace_event_kind_name(ev.kind);
     switch (ev.kind) {

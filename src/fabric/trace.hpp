@@ -58,11 +58,13 @@ class Tracer {
   /// Keep at most `capacity` events (oldest dropped first).
   explicit Tracer(std::size_t capacity = 4096) : capacity_(capacity) {}
 
+  /// O(1): once the buffer is full the newest event overwrites the oldest.
   void record(const TraceEvent& ev);
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
+  /// The retained events, oldest first.  Non-const because it unwraps the
+  /// ring in place: one O(capacity) rotation after records have wrapped,
+  /// O(1) otherwise.  The reference is invalid after the next record().
+  [[nodiscard]] const std::vector<TraceEvent>& events();
   /// Events discarded because the buffer was full.
   [[nodiscard]] std::int64_t dropped() const noexcept { return dropped_; }
 
@@ -78,7 +80,10 @@ class Tracer {
 
  private:
   std::size_t capacity_;
-  std::vector<TraceEvent> events_;
+  /// Ring storage: grows to capacity_, then wraps; ring_[head_] is the
+  /// oldest event.
+  std::vector<TraceEvent> ring_;
+  std::size_t head_ = 0;
   std::int64_t dropped_ = 0;
   /// histogram_[tile][opcode]; grown on demand.
   std::vector<std::array<std::int64_t,

@@ -22,10 +22,6 @@ namespace cgra::net {
 
 namespace {
 
-/// Span track for network requests (service uses 3/4, tiles start at
-/// obs::kTrackTileBase).
-constexpr int kTrackNet = 5;
-
 /// Frames handled per connection per shard round: bounds the time one
 /// busy pipelined client can hold the shard before its peers get a turn.
 constexpr int kFrameBudget = 16;
@@ -214,7 +210,6 @@ Server::Server(service::Service* service, ServerOptions opt)
     latency_ms_[i] = metrics_.histogram(
         std::string("net.latency_ms.") + kJobNames[i], latency_bounds);
   }
-  spans_.set_track_name(kTrackNet, "net requests");
 }
 
 Server::~Server() { stop(); }
@@ -319,11 +314,6 @@ std::vector<obs::MetricSample> Server::metrics_samples() const {
     samples.push_back({h.name + ".p99", false, histogram_quantile(h, 0.99)});
   }
   return samples;
-}
-
-std::size_t Server::span_count() const {
-  std::lock_guard<std::mutex> obs(obs_mu_);
-  return spans_.spans().size();
 }
 
 bool Server::admission_allow() {
@@ -524,10 +514,6 @@ void Server::pump_replies(const std::shared_ptr<Shard>& shard,
         std::lock_guard<std::mutex> obs(obs_mu_);
         if (!result.status.ok()) metrics_.add(errors_);
         metrics_.observe(latency_histogram(front.request_type), dur / 1e6);
-        spans_.complete(
-            "req " + std::to_string(front.request_id),
-            "net.request", kTrackNet, front.start_ns, dur,
-            {{"type", msg_type_name(front.request_type), false}});
       }
       if (front.trace.valid()) {
         const Nanoseconds tdur =

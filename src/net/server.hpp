@@ -70,7 +70,6 @@
 #include "chaos/chaos.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/tracer.hpp"
 #include "service/service.hpp"
 
@@ -155,12 +154,11 @@ class Server {
   /// The bound port (resolves option port 0 after start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Server-side counters (net.*) and per-request spans.  The samples
-  /// include p50/p90/p99 gauges derived from the per-request-type
-  /// latency histograms (net.latency_ms.<type>.p50 ...).
+  /// Server-side counters (net.*).  The samples include count and
+  /// p50/p90/p99 gauges derived from the per-request-type latency
+  /// histograms (net.latency_ms.<type>.count, .p50 ...).
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
   [[nodiscard]] std::vector<obs::MetricSample> metrics_samples() const;
-  [[nodiscard]] std::size_t span_count() const;
 
   /// The tracer answering kTraceDump (the option's, or the private one).
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
@@ -255,7 +253,6 @@ class Server {
 
   mutable std::mutex obs_mu_;
   obs::MetricsRegistry metrics_;
-  obs::SpanTimeline spans_;
   obs::CounterHandle accepted_;
   obs::CounterHandle refused_;
   obs::CounterHandle closed_;

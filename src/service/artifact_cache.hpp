@@ -1,7 +1,7 @@
 // Content-addressed artifact cache for the job service.
 //
-// Everything a warm runtime can reuse — assembled Programs, predecoded
-// stage images, twiddle/quantiser tables, placements — is a pure function
+// Everything a warm runtime can reuse — compiled FFT plans, assembled
+// stage programs, quantiser tables, placements — is a pure function
 // of its inputs, so the cache keys on content: the key string embeds a
 // type tag plus either the configuration (mesh shape, kernel parameters)
 // or an FNV-1a hash of the source text.  Same inputs, same key, same
@@ -56,7 +56,7 @@ template <typename T, std::size_t N>
 /// Thread-safe content-addressed store of immutable artifacts.
 ///
 /// The key must uniquely determine both the content AND the C++ type of
-/// the artifact (embed a type tag: "asm:", "jpeg.pipeline:", ...);
+/// the artifact (embed a type tag: "fft.plan:", "jpeg.pipeline:", ...);
 /// retrieving a key as a different type than it was stored under is
 /// undefined.  All artifacts are shared_ptr<const T>: once published they
 /// are immutable and may be used concurrently by every worker.

@@ -145,11 +145,11 @@ struct JobState {
   JobRequest request;
   std::string batch_key;  ///< Jobs with equal keys may share a batch.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  Nanoseconds queued_at_ns = 0.0;   ///< Host time on the service clock.
-  Nanoseconds started_at_ns = 0.0;  ///< Set when a worker picks it up.
-  obs::TraceContext trace;          ///< Propagated wire-trace identity.
-  Nanoseconds trace_queued_ns = 0.0;   ///< Same instants on the process-wide
-  Nanoseconds trace_started_ns = 0.0;  ///< trace clock (obs::trace_clock_ns).
+  obs::TraceContext trace;  ///< Propagated wire-trace identity.
+  /// Enqueue and dequeue instants on the process-wide trace clock
+  /// (obs::trace_clock_ns).
+  Nanoseconds trace_queued_ns = 0.0;
+  Nanoseconds trace_started_ns = 0.0;
 
   std::mutex mu;
   std::condition_variable cv;

@@ -5,17 +5,12 @@
 #include <utility>
 
 #include "apps/fft/fabric_fft.hpp"
-#include "apps/fft/programs.hpp"
 #include "apps/jpeg/fabric_jpeg.hpp"
 #include "apps/jpeg/tables.hpp"
 
 namespace cgra::service {
 
 namespace {
-
-// Service span tracks (below obs::kTrackTileBase; tiles are unused here).
-constexpr int kTrackQueue = 3;
-constexpr int kTrackRun = 4;
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -87,7 +82,6 @@ Service::Service(ServiceOptions opt)
         o.fusion_window_us = std::max(0, o.fusion_window_us);
         return o;
       }()),
-      epoch_(std::chrono::steady_clock::now()),
       pool_(opt.max_fabrics_per_shape),
       chaos_(opt.chaos),
       tracer_(opt.tracer) {
@@ -109,8 +103,6 @@ Service::Service(ServiceOptions opt)
     window_gains_ = metrics_.counter("service.fusion.window_gains");
     batch_size_ = metrics_.histogram("service.batch.size",
                                      {1.0, 2.0, 4.0, 8.0, 16.0});
-    spans_.set_track_name(kTrackQueue, "service queue");
-    spans_.set_track_name(kTrackRun, "service run");
   }
   cache_.attach_metrics(&metrics_);
   pool_.attach_metrics(&metrics_);
@@ -123,18 +115,10 @@ Service::Service(ServiceOptions opt)
 
 Service::~Service() { shutdown(); }
 
-Nanoseconds Service::now_ns() const {
-  return static_cast<Nanoseconds>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
-}
-
 SubmitResult Service::submit(JobRequest request, SubmitOptions options) {
   auto state = std::make_shared<JobState>();
   state->request = std::move(request);
   state->deadline = options.deadline;
-  state->queued_at_ns = now_ns();
   state->trace = options.trace;
   state->trace_queued_ns = obs::trace_clock_ns();
   std::size_t depth = 0;
@@ -532,10 +516,8 @@ std::vector<JobHandle> Service::next_batch() {
         d && d.action == chaos::Action::kDelay) {
       std::this_thread::sleep_for(std::chrono::milliseconds(d.a));
     }
-    const Nanoseconds start = now_ns();
     const Nanoseconds trace_start = obs::trace_clock_ns();
     for (const auto& job : batch) {
-      job->started_at_ns = start;
       job->trace_started_ns = trace_start;
       std::lock_guard<std::mutex> jl(job->mu);
       job->phase = JobPhase::kRunning;
@@ -557,12 +539,6 @@ std::vector<JobHandle> Service::next_batch() {
       std::lock_guard<std::mutex> obs(obs_mu_);
       metrics_.add(batches_);
       metrics_.observe(batch_size_, static_cast<double>(batch.size()));
-      for (const auto& job : batch) {
-        spans_.complete("job " + std::to_string(job->id) + " queued",
-                        "service.queue", kTrackQueue, job->queued_at_ns,
-                        start - job->queued_at_ns,
-                        {{"kind", job_kind_name(job->request), false}});
-      }
     }
     return batch;
   }
@@ -587,17 +563,6 @@ void Service::worker_loop() {
                       trace_end - job->trace_started_ns,
                       {{"kind", job_kind_name(job->request), false},
                        {"batch", std::to_string(batch.size()), true}});
-      }
-    }
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      const Nanoseconds end = now_ns();
-      for (const auto& job : batch) {
-        spans_.complete("job " + std::to_string(job->id) + " run",
-                        "service.run", kTrackRun, job->started_at_ns,
-                        end - job->started_at_ns,
-                        {{"kind", job_kind_name(job->request), false},
-                         {"batch", std::to_string(batch.size()), true}});
       }
     }
   }
@@ -792,16 +757,17 @@ void Service::run_fft_batch(const std::vector<JobHandle>& batch) {
     return;
   }
   const auto g = fft::make_geometry(first.n, first.m);
-  const auto twiddles = cached<fft::TwiddleTable>(
-      "fft.twiddles:n=" + std::to_string(g.n) + ":m=" + std::to_string(g.m),
-      [&] { return fft::twiddle_patch_table(g); });
-  // Content-addressed assembly: recurring kernels (the pinned butterfly,
-  // the hop/apply copy programs) assemble once per source text ever.
-  const auto assemble = [this](const std::string& src) {
-    const auto prog = cached<isa::Program>(
-        "asm:" + hex64(fnv1a(src)), [&] { return fft::must_assemble(src); });
-    return *prog;
-  };
+  // The whole epoch sequence (move planning, assembled copy programs,
+  // twiddle patches) is a pure function of the geometry: compiled once,
+  // replayed by every job.
+  const auto plan = cached<fft::FabricFftPlan>(
+      "fft.plan:n=" + std::to_string(g.n) + ":m=" + std::to_string(g.m) +
+          ":cols=" + std::to_string(first.cols),
+      [&] { return fft::compile_plan(g, first.cols); });
+  if (!plan->ok()) {
+    fail_batch(batch, plan->status);
+    return;
+  }
   auto lease = acquire_fabric(g.rows, first.cols, batch.front());
   if (!lease.valid()) {
     fail_batch(batch, Status::unavailable("no fabric lease for fft"));
@@ -819,9 +785,8 @@ void Service::run_fft_batch(const std::vector<JobHandle>& batch) {
     }
     fft::FabricFftOptions opt;
     opt.cols = req.cols;
+    opt.plan = plan.get();
     opt.fabric = lease.get();
-    opt.assemble = assemble;
-    opt.twiddles = twiddles.get();
     const Nanoseconds t0 = obs::trace_clock_ns();
     auto res = fft::run_fabric_fft(g, req.input, opt);
     if (!res.status.ok() && !(*lease).dead_tiles().empty()) {
@@ -839,7 +804,7 @@ void Service::run_fft_batch(const std::vector<JobHandle>& batch) {
     r.status = res.status;
     FftJobResult payload;
     payload.output = std::move(res.output);
-    payload.timeline = res.timeline;
+    payload.timeline = std::move(res.timeline);
     payload.epochs = res.epochs;
     r.payload = std::move(payload);
     finish(job, std::move(r));

@@ -8,13 +8,14 @@
 //     (submit() returns a Status error instead of blocking),
 //   * a worker pool executing jobs on pre-warmed fabrics from a
 //     FabricPool (reset-and-reuse instead of reconstruction),
-//   * a content-addressed ArtifactCache of assembled programs, twiddle
-//     and quantiser tables, pipeline artifacts and placements,
+//   * a content-addressed ArtifactCache of compiled FFT plans, JPEG
+//     pipeline artifacts and placements,
 //   * epoch-schedule batching: consecutive queued jobs with the same
 //     batch key (same kernel configuration) execute back to back on one
 //     configured fabric, paying the ICAP setup once per batch,
-//   * observability: job lifecycle spans plus queue/cache/pool counters
-//     in an obs::MetricsRegistry.
+//   * observability: queue/cache/pool counters in an obs::MetricsRegistry
+//     (fixed memory however many jobs run); traced jobs also record spans
+//     on the attached obs::Tracer.
 //
 // Determinism: each job's result is bit-identical to running the same
 // request serially on a fresh fabric — batching and pooling only change
@@ -36,7 +37,7 @@
 #include "common/status.hpp"
 #include "engine/engine.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/tracer.hpp"
 #include "service/artifact_cache.hpp"
 #include "service/fabric_pool.hpp"
 #include "service/job.hpp"
@@ -144,12 +145,11 @@ class Service {
   [[nodiscard]] int workers() const noexcept { return opt_.workers; }
   [[nodiscard]] bool accepting() const;
 
-  /// Shared observability: counters (service.*, cache.*, pool.*), job
-  /// lifecycle spans.  Guarded internally; safe to read between jobs.
+  /// Shared observability: counters (service.*, cache.*, pool.*).
+  /// Guarded internally; safe to read between jobs.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
-  [[nodiscard]] const obs::SpanTimeline& spans() const { return spans_; }
 
   /// Counter convenience (by full metric name, e.g. "cache.hit").
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
@@ -200,10 +200,7 @@ class Service {
   void run_dse_job(const JobHandle& job);
   void run_map_job(const JobHandle& job);
 
-  [[nodiscard]] Nanoseconds now_ns() const;
-
   const ServiceOptions opt_;
-  const std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;
   std::condition_variable queue_cv_;
@@ -214,10 +211,9 @@ class Service {
   ArtifactCache cache_;
   FabricPool pool_;
 
-  mutable std::mutex obs_mu_;  ///< Guards metrics_ + spans_ (registry is
+  mutable std::mutex obs_mu_;  ///< Guards metrics_ (the registry is
                                ///< single-threaded by design).
   obs::MetricsRegistry metrics_;
-  obs::SpanTimeline spans_;
   obs::CounterHandle submitted_;
   obs::CounterHandle rejected_;
   obs::CounterHandle completed_;

@@ -632,6 +632,33 @@ TEST(ChaosService, CachePoisonForcesIdenticalRebuild) {
   EXPECT_GE(inj.fired(Hook::kCachePoison), 2);
 }
 
+TEST(ChaosService, CachePoisonRebuildsFftPlanIdentically) {
+  ChaosPlan plan;
+  plan.fail(Hook::kCachePoison, /*first=*/1, /*count=*/1000);
+  ChaosInjector inj(plan);
+  service::ServiceOptions sopt;
+  sopt.workers = 1;
+  sopt.chaos = &inj;
+  service::Service svc(sopt);
+
+  const auto job = fft_request(64, 21);
+  const auto reference = fft::run_fabric_fft(
+      fft::make_geometry(64, 8), std::get<service::FftRequest>(job).input);
+  ASSERT_TRUE(reference.status.ok());
+  for (int i = 0; i < 2; ++i) {
+    auto sub = svc.submit(job);
+    ASSERT_TRUE(sub.accepted());
+    const auto res = svc.wait(sub.handle);
+    ASSERT_TRUE(res.ok()) << res.status.message();
+    const auto& payload = std::get<service::FftJobResult>(res.payload);
+    EXPECT_EQ(payload.output, reference.output);
+    EXPECT_EQ(payload.timeline.epoch_cycles, reference.timeline.epoch_cycles);
+  }
+  // Each batch's plan lookup was poisoned: two compiles, no hit.
+  EXPECT_EQ(svc.counter("cache.miss"), 2);
+  EXPECT_EQ(svc.counter("cache.hit"), 0);
+}
+
 TEST(ChaosService, QueueStallDelaysButCompletes) {
   ChaosPlan plan;
   plan.delay_ms(Hook::kQueueStall, /*ms=*/50, /*first=*/1);

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "apps/fft/fabric_fft.hpp"
 #include "common/prng.hpp"
+#include "fabric/fabric.hpp"
+#include "faults/injector.hpp"
 
 namespace cgra::fft {
 namespace {
@@ -220,6 +224,181 @@ TEST(FabricFft, FullySpatialDesignKeepsAllKernelsPinned) {
   const auto result = run_fabric_fft(g, x, opt);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(rms_error(result.output, scaled_reference(x)), 2e-3);
+}
+
+// ---- compiled plans: compile once, replay per job ----
+
+/// Every observable of two runs agrees: status, output, epoch counts, the
+/// full Equation-1 timeline with each transition report, and the faults.
+void expect_same_run(const FabricFftResult& a, const FabricFftResult& b,
+                     const std::string& ctx) {
+  EXPECT_EQ(a.status.ok(), b.status.ok()) << ctx;
+  EXPECT_EQ(a.status.message(), b.status.message()) << ctx;
+  EXPECT_EQ(a.output, b.output) << ctx;
+  EXPECT_EQ(a.epochs, b.epochs) << ctx;
+  EXPECT_EQ(a.redistribution_subepochs, b.redistribution_subepochs) << ctx;
+  EXPECT_EQ(a.timeline.reconfig_ns, b.timeline.reconfig_ns) << ctx;
+  EXPECT_EQ(a.timeline.epoch_compute_ns, b.timeline.epoch_compute_ns) << ctx;
+  EXPECT_EQ(a.timeline.epoch_cycles, b.timeline.epoch_cycles) << ctx;
+  ASSERT_EQ(a.timeline.transitions.size(), b.timeline.transitions.size())
+      << ctx;
+  for (std::size_t i = 0; i < a.timeline.transitions.size(); ++i) {
+    const auto& x = a.timeline.transitions[i];
+    const auto& y = b.timeline.transitions[i];
+    const std::string at = ctx + " transition " + std::to_string(i);
+    EXPECT_EQ(x.name, y.name) << at;
+    EXPECT_EQ(x.links_changed, y.links_changed) << at;
+    EXPECT_EQ(x.link_ns, y.link_ns) << at;
+    EXPECT_EQ(x.inst_reload_ns, y.inst_reload_ns) << at;
+    EXPECT_EQ(x.data_reload_ns, y.data_reload_ns) << at;
+    EXPECT_EQ(x.verify_ns, y.verify_ns) << at;
+    EXPECT_EQ(x.retry_ns, y.retry_ns) << at;
+    EXPECT_EQ(x.icap_retries, y.icap_retries) << at;
+    EXPECT_EQ(x.detected.size(), y.detected.size()) << at;
+    EXPECT_EQ(x.icap_busy_cycles, y.icap_busy_cycles) << at;
+    EXPECT_EQ(x.start_cycle, y.start_cycle) << at;
+    EXPECT_EQ(x.complete_cycle, y.complete_cycle) << at;
+  }
+  ASSERT_EQ(a.faults.size(), b.faults.size()) << ctx;
+  for (std::size_t i = 0; i < a.faults.size(); ++i) {
+    EXPECT_EQ(a.faults[i].describe(), b.faults[i].describe()) << ctx;
+  }
+}
+
+TEST(FabricFftPlan, SharedPlanReplayMatchesPerCallCompile) {
+  const auto g = make_geometry(1024, 128);
+  for (const int cols : {1, 2, 5, 10}) {
+    const FabricFftPlan plan = compile_plan(g, cols);
+    ASSERT_TRUE(plan.ok()) << plan.status.message();
+    fabric::Fabric borrowed(g.rows, cols);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto x = random_signal(g.n, seed);
+      FabricFftOptions fresh;
+      fresh.cols = cols;
+      const auto want = run_fabric_fft(g, x, fresh);
+      ASSERT_TRUE(want.ok()) << want.status.message();
+
+      borrowed.reset();
+      FabricFftOptions replay;
+      replay.cols = cols;
+      replay.plan = &plan;
+      replay.fabric = &borrowed;
+      const auto got = run_fabric_fft(g, x, replay);
+      expect_same_run(want, got,
+                      "cols=" + std::to_string(cols) +
+                          " seed=" + std::to_string(seed));
+      EXPECT_EQ(got.redistribution_subepochs, plan.redistribution_subepochs);
+    }
+  }
+}
+
+// Golden figures of the 1024-point FFT, captured from the per-job
+// orchestrator that plans replaced: a compiled plan must stream and run
+// exactly the same epochs.
+TEST(FabricFftPlan, GoldenFiguresPerColumnCount) {
+  struct Golden {
+    int cols;
+    int epochs;
+    std::int64_t subepochs;
+    std::int64_t cycles;
+    double reconfig_ns;
+  };
+  // reconfig_ns as exact hex literals (843399.99..., 896199.99...,
+  // 1082599.99..., 1400000.00...).
+  const Golden golden[] = {
+      {1, 52, 41, 332185, 0x1.9bd0fffffffffp+19},
+      {2, 52, 41, 353433, 0x1.b598fffffffffp+19},
+      {5, 56, 45, 428509, 0x1.084e7ffffffffp+20},
+      {10, 63, 52, 556436, 0x1.55cc000000001p+20},
+  };
+  const auto g = make_geometry(1024, 128);
+  const auto x = random_signal(g.n, 1);
+  for (const auto& want : golden) {
+    FabricFftOptions opt;
+    opt.cols = want.cols;
+    const auto r = run_fabric_fft(g, x, opt);
+    ASSERT_TRUE(r.ok()) << r.status.message();
+    std::int64_t cycles = 0;
+    for (const auto c : r.timeline.epoch_cycles) cycles += c;
+    const std::string ctx = "cols=" + std::to_string(want.cols);
+    EXPECT_EQ(r.epochs, want.epochs) << ctx;
+    EXPECT_EQ(r.redistribution_subepochs, want.subepochs) << ctx;
+    EXPECT_EQ(cycles, want.cycles) << ctx;
+    EXPECT_EQ(r.timeline.reconfig_ns, want.reconfig_ns) << ctx;
+  }
+}
+
+/// Run with and without a shared plan, with fault knobs from `arm` (a
+/// fresh tap each run: the injector counts its firings).
+void expect_fault_path_identical(
+    int cols, const std::function<void(FabricFftOptions&,
+                                       faults::FaultInjector&)>& arm,
+    const faults::FaultPlan& fault_plan, const std::string& what) {
+  const auto g = make_geometry(1024, 128);
+  const auto x = random_signal(g.n, 7);
+  const FabricFftPlan plan = compile_plan(g, cols);
+  ASSERT_TRUE(plan.ok());
+  FabricFftResult runs[2];
+  for (int shared = 0; shared < 2; ++shared) {
+    faults::FaultInjector tap(fault_plan);
+    FabricFftOptions opt;
+    opt.cols = cols;
+    opt.collect_profile = true;
+    if (shared == 1) opt.plan = &plan;
+    arm(opt, tap);
+    runs[shared] = run_fabric_fft(g, x, opt);
+  }
+  const std::string ctx = what + " cols=" + std::to_string(cols);
+  expect_same_run(runs[0], runs[1], ctx);
+  EXPECT_EQ(runs[0].profile.to_json(), runs[1].profile.to_json()) << ctx;
+}
+
+TEST(FabricFftPlan, FaultPathsMatchWithAndWithoutSharedPlan) {
+  for (const int cols : {1, 2, 5, 10}) {
+    // Readback verify + three corrupted streams, absorbed by retries.
+    faults::FaultPlan retried;
+    retried.corrupt_icap(0, 3);
+    expect_fault_path_identical(
+        cols,
+        [](FabricFftOptions& opt, faults::FaultInjector& tap) {
+          opt.icap_faults.verify_readback = true;
+          opt.icap_faults.tap = &tap;
+          opt.icap_faults.max_retries = 4;
+          opt.icap_faults.retry_backoff_ns = 100.0;
+        },
+        retried, "retried");
+
+    // No retry budget: the corrupted tile latches a fault and the run
+    // ends early.  The last column is first configured mid-run.
+    faults::FaultPlan fatal;
+    fatal.corrupt_icap(cols - 1, 1);
+    expect_fault_path_identical(
+        cols,
+        [](FabricFftOptions& opt, faults::FaultInjector& tap) {
+          opt.icap_faults.verify_readback = true;
+          opt.icap_faults.tap = &tap;
+        },
+        fatal, "fatal");
+
+    // A cycle budget too small for any butterfly stage.
+    expect_fault_path_identical(
+        cols,
+        [](FabricFftOptions& opt, faults::FaultInjector&) {
+          opt.max_cycles_per_epoch = 50;
+        },
+        faults::FaultPlan{}, "budget");
+  }
+}
+
+TEST(FabricFftPlan, RejectsMismatchedPlan) {
+  const auto g = make_geometry(64, 8);
+  const FabricFftPlan plan = compile_plan(g, 2);
+  ASSERT_TRUE(plan.ok());
+  FabricFftOptions opt;
+  opt.cols = 3;
+  opt.plan = &plan;
+  EXPECT_FALSE(run_fabric_fft(g, random_signal(64, 1), opt).ok());
+  EXPECT_FALSE(compile_plan(g, 4).ok());  // 4 does not divide 6 stages
 }
 
 }  // namespace

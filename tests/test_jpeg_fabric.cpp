@@ -115,6 +115,24 @@ TEST_P(FabricBlockPipeline, MatchesHostStagesBitExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FabricBlockPipeline,
                          ::testing::Values(10u, 20u, 30u, 40u));
 
+TEST(JpegFabric, BlockCyclesDoNotDependOnBatchPosition) {
+  // The setup epoch's ICAP stall belongs to the setup: a fresh pipeline's
+  // first block costs the same cycles as every later one.
+  const auto quant = scaled_quant(50);
+  const auto art = make_pipeline_artifacts(quant);
+  fabric::Fabric fab(1, 4);
+  BlockPipeline pipe(fab, art);
+  ASSERT_TRUE(pipe.setup_status().ok());
+  const auto first = pipe.encode(random_pixels(1));
+  const auto second = pipe.encode(random_pixels(2));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.total_cycles, second.total_cycles);
+  EXPECT_EQ(first.reconfig_ns, 0.0);
+  EXPECT_EQ(encode_block_on_fabric(random_pixels(3), quant).total_cycles,
+            first.total_cycles);
+}
+
 // ---- Huffman entropy coding on the fabric ----
 
 namespace {

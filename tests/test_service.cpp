@@ -130,6 +130,42 @@ TEST(Service, MixedProducersMatchSerialExecution) {
             0);
 }
 
+TEST(Service, FftPlanCompiledOncePerGeometry) {
+  // One worker, three rounds of same-geometry FFTs: the first batch
+  // compiles the plan (the only cache miss), every later batch replays
+  // it, and every reply equals the serial per-call run.
+  const auto g = fft::make_geometry(64, 8);
+  Service svc(ServiceOptions{.workers = 1});
+  int seed = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::pair<int, JobHandle>> handles;
+    for (int j = 0; j < 2; ++j, ++seed) {
+      auto sub = svc.submit(
+          JobRequest{FftRequest{g.n, g.m, 2, test_signal(g.n, seed)}});
+      ASSERT_TRUE(sub.accepted()) << sub.status.message();
+      handles.emplace_back(seed, sub.handle);
+    }
+    for (const auto& [s, handle] : handles) {
+      const auto res = svc.wait(handle);
+      ASSERT_TRUE(res.ok()) << res.status.message();
+      fft::FabricFftOptions opt;
+      opt.cols = 2;
+      const auto serial = fft::run_fabric_fft(g, test_signal(g.n, s), opt);
+      ASSERT_TRUE(serial.ok());
+      const auto& payload = std::get<FftJobResult>(res.payload);
+      EXPECT_EQ(payload.output, serial.output) << "job " << s;
+      EXPECT_EQ(payload.epochs, serial.epochs) << "job " << s;
+      EXPECT_EQ(payload.timeline.epoch_cycles, serial.timeline.epoch_cycles)
+          << "job " << s;
+      EXPECT_EQ(payload.timeline.reconfig_ns, serial.timeline.reconfig_ns)
+          << "job " << s;
+    }
+  }
+  // FFT batches look up nothing but their plan.
+  EXPECT_EQ(svc.counter("cache.miss"), 1);
+  EXPECT_GE(svc.counter("cache.hit"), 2);
+}
+
 TEST(Service, SameKeyJobsBatchBehindBusyWorker) {
   // One worker, held busy by a heavy head job: the same-quant blocks
   // queued behind it must fuse into a single warm batch.
@@ -355,9 +391,7 @@ TEST(Service, InvalidRequestsReportStatusNotCrash) {
 // ServiceOptions::engine: the same jobs produce bit-identical payloads on
 // every execution engine (the fabrics behind the pool differ only in HOW
 // they step, never in what they compute).  Jobs are submitted one at a
-// time so each is its own batch — per-job cycle counts depend on batch
-// position (the head pays the setup epoch), which is scheduling, not
-// engine behaviour.
+// time so each is its own batch.
 TEST(Service, ResultsBitIdenticalAcrossEngines) {
   const auto quant = jpeg::scaled_quant(75);
 

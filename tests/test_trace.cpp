@@ -127,6 +127,34 @@ TEST(Trace, DumpTruncationNoteAgreesWithDropped) {
   EXPECT_NE(text.find("(22 earlier events dropped)"), std::string::npos);
 }
 
+TEST(Trace, DumpOfWrappedRingListsOldestFirst) {
+  // 30 records through a capacity-8 ring leave it wrapped; dump() (const,
+  // so it must not unwrap) lists cycles 22..29 in order, like events().
+  Tracer tracer(8);
+  TraceEvent ev;
+  ev.tile = 0;
+  ev.kind = TraceEventKind::kRetire;
+  for (int i = 0; i < 30; ++i) {
+    ev.cycle = i;
+    tracer.record(ev);
+  }
+  const Tracer& view = tracer;
+  const std::string text = view.dump();
+  std::size_t pos = 0;
+  for (int c = 22; c < 30; ++c) {
+    const std::size_t at = text.find("[" + std::to_string(c) + "]", pos);
+    ASSERT_NE(at, std::string::npos) << "cycle " << c;
+    pos = at;
+  }
+  EXPECT_EQ(text.find("[21]"), std::string::npos);
+  const auto& evs = tracer.events();
+  ASSERT_EQ(evs.size(), 8u);
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    EXPECT_EQ(evs[i].cycle, static_cast<std::int64_t>(22 + i));
+  }
+  EXPECT_EQ(tracer.dump(), text);
+}
+
 TEST(Trace, DumpTruncationSurvivesWraparound) {
   Fabric f(1, 1);
   Tracer tracer(8);
