@@ -4,13 +4,14 @@
 // side).  Two phases, same connection set:
 //
 //   * jobs — every connection pipelines identical-shape JPEG-block
-//     requests (one batch key, so the service's cross-connection epoch
-//     fusion engages), with a window of in-flight frames per
-//     connection.  Every reply is matched against an in-process oracle
-//     bit for bit, strictly in request order: a lost, duplicated or
-//     reordered reply fails the run.  Job throughput is bounded by the
-//     fabric simulation itself (one worker core executes the blocks),
-//     so this phase bars on correctness and reports throughput.
+//     requests (one batch key, so requests queued from different
+//     connections fuse into one epoch), with a window of in-flight
+//     frames per connection.  Every reply is matched against an
+//     in-process oracle bit for bit, strictly in request order: a lost,
+//     duplicated or reordered reply fails the run.  Job throughput is
+//     bounded by the fabric simulation itself (one worker core executes
+//     the blocks), so this phase bars on correctness and reports
+//     throughput.
 //   * frontend — the same connections pipeline kPing frames, measuring
 //     the serving front-end alone (framing, epoll readiness, reply
 //     pump, sendmsg write coalescing) without the job executor in the
@@ -369,7 +370,6 @@ int main(int argc, char** argv) {
   // windowing, saturation replies would be a correctness failure.
   sopt.queue_capacity = connections * job_window + 256;
   sopt.batch_limit = 32;
-  sopt.fusion_window_us = 100;  // cross-connection epoch fusion
   service::Service svc(sopt);
   net::ServerOptions nopt;
   nopt.max_connections = connections + 8;
@@ -444,9 +444,6 @@ int main(int argc, char** argv) {
   std::printf(
       "job replies bit-identical, in order, none lost or duplicated: %s\n",
       jobs_ok ? "yes" : "NO");
-  std::printf("cross-connection fusion gains: %lld fused arrivals\n",
-              static_cast<long long>(
-                  svc.counter("service.fusion.window_gains")));
 
   obs::BenchReport report("net_scale");
   report.add("connections", connections, "count");

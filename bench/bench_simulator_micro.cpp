@@ -93,8 +93,7 @@ void BM_FabricStepRate64TilesThreaded(benchmark::State& state) {
   for (int t = 0; t < fab.tile_count(); ++t) {
     fab.tile(t).load_program(prog);
   }
-  fab.adopt_engine(engine::make_engine(
-      engine::EngineOptions{engine::EngineKind::kThreaded}));
+  fab.adopt_engine(engine::make_engine(engine::EngineKind::kThreaded));
   std::int64_t tile_cycles = 0;
   for (auto _ : state) {
     for (int t = 0; t < fab.tile_count(); ++t) fab.tile(t).restart();
@@ -112,47 +111,9 @@ std::string countdown_source(int n) {
          "\nloop:\n  sub 0, 0, #1\n  bnez 0, loop\n  halt\n";
 }
 
-// Lockstep batch stepping: `width` copies of the dense 64-tile mesh
-// advance together through BatchEngine::run_batch, so the aggregate
-// tile_cycles/s is what one host thread simulates across all instances.
-// CI gates this against BM_FabricStepRate64Tiles from the SAME run
-// (scripts/check_batch_gate.py): the SoA lane loop must clear 5x the
-// sequential interpreter on the dense mesh.
-void BM_FabricBatchStepRate64Tiles(benchmark::State& state) {
-  using namespace cgra;
-  const int width = static_cast<int>(state.range(0));
-  const auto lay = fft::make_layout(128);
-  const auto prog = fft::must_assemble(fft::bf_pair_source(lay));
-  std::vector<fabric::Fabric> mesh;
-  mesh.reserve(static_cast<std::size_t>(width));  // ptrs point into mesh
-  std::vector<fabric::Fabric*> ptrs;
-  for (int i = 0; i < width; ++i) {
-    auto& fab = mesh.emplace_back(8, 8);
-    for (int t = 0; t < fab.tile_count(); ++t) fab.tile(t).load_program(prog);
-    ptrs.push_back(&fab);
-  }
-  engine::BatchEngine batch(width);
-  std::int64_t tile_cycles = 0;
-  for (auto _ : state) {
-    for (auto& fab : mesh) {
-      for (int t = 0; t < fab.tile_count(); ++t) fab.tile(t).restart();
-    }
-    const auto runs = batch.run_batch(ptrs, 1'000'000);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      tile_cycles += runs[i].cycles * mesh[i].tile_count();
-    }
-  }
-  state.counters["tile_cycles/s"] = benchmark::Counter(
-      static_cast<double>(tile_cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FabricBatchStepRate64Tiles)->Arg(8)->Arg(16)->ArgName("width");
-
-// The batch gate pair: the same dense 64-tile mesh running a long
-// countdown (~100k cycles per run), interpreter vs 16-wide batch.  The
-// long run amortizes the batch engine's SoA extraction/write-back, so
-// this isolates steady-state stepping throughput — the number the >5x
-// acceptance gate is about.  scripts/check_batch_gate.py reads both
-// counters out of BENCH_simulator_micro.json.
+// The dense 64-tile mesh running a long countdown (~100k cycles per run)
+// instead of the 581-cycle butterfly: steady-state stepping throughput,
+// with restart and halt costs amortized away.
 void BM_FabricDenseLoop64Tiles(benchmark::State& state) {
   using namespace cgra;
   fabric::Fabric fab(8, 8);
@@ -174,40 +135,6 @@ void BM_FabricDenseLoop64Tiles(benchmark::State& state) {
       static_cast<double>(tile_cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FabricDenseLoop64Tiles);
-
-void BM_FabricBatchDenseLoop64Tiles(benchmark::State& state) {
-  using namespace cgra;
-  const int width = static_cast<int>(state.range(0));
-  auto r = isa::assemble(countdown_source(50'000));
-  if (!r.ok()) {
-    state.SkipWithError("assembly failed");
-    return;
-  }
-  std::vector<fabric::Fabric> mesh;
-  mesh.reserve(static_cast<std::size_t>(width));  // ptrs point into mesh
-  std::vector<fabric::Fabric*> ptrs;
-  for (int i = 0; i < width; ++i) {
-    auto& fab = mesh.emplace_back(8, 8);
-    for (int t = 0; t < fab.tile_count(); ++t) {
-      fab.tile(t).load_program(r.program);
-    }
-    ptrs.push_back(&fab);
-  }
-  engine::BatchEngine batch(width);
-  std::int64_t tile_cycles = 0;
-  for (auto _ : state) {
-    for (auto& fab : mesh) {
-      for (int t = 0; t < fab.tile_count(); ++t) fab.tile(t).restart();
-    }
-    const auto runs = batch.run_batch(ptrs, 1'000'000);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      tile_cycles += runs[i].cycles * mesh[i].tile_count();
-    }
-  }
-  state.counters["tile_cycles/s"] = benchmark::Counter(
-      static_cast<double>(tile_cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FabricBatchDenseLoop64Tiles)->Arg(16)->ArgName("width");
 
 // --- engine scenario benches -----------------------------------------------
 // Three scenarios isolate the two fast-path mechanisms: the active-tile

@@ -12,7 +12,7 @@
 //   --json             dump the profile and metrics as JSON
 //   --csv              dump the profile as CSV rows
 //   --trace-json FILE  write the span timeline as Chrome trace-event JSON
-//   --engine=SPEC      execution engine: interp | threaded | batch[:width]
+//   --engine=NAME      execution engine: interp | threaded
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,7 +116,7 @@ int run_fft(const std::vector<int>& pos, bool json, bool csv,
                       "profile_run:fft");
   if (rc != 0) return rc;
 
-  dse::Sweep sweep(engine::process_engine());
+  dse::Sweep sweep;
   const auto times = sweep.measure_process_times(g);
   const auto model =
       dse::evaluate_fft_design(g, times, cols, opt.link_cost_ns);

@@ -18,8 +18,8 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/serve_demo --trace
 //
-// --engine=interp|threaded|batch[:W] selects the execution engine the
-// service's fabrics run on (replies are bit-identical across engines).
+// --engine=interp|threaded selects the execution engine the service's
+// fabrics run on (replies are bit-identical across engines).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,7 +33,7 @@
 int main(int argc, char** argv) {
   using namespace cgra;
 
-  const auto engine_opts = engine::apply_engine_flag(&argc, argv);
+  engine::apply_engine_flag(&argc, argv);
   bool trace = false;
   std::string trace_path = "serve_trace.json";
   for (int i = 1; i < argc; ++i) {
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       trace = true;
       trace_path = argv[i] + 8;
     } else {
-      std::printf("usage: %s [--trace[=path]] [--engine=SPEC]\n", argv[0]);
+      std::printf("usage: %s [--trace[=path]] [--engine=NAME]\n", argv[0]);
       return 1;
     }
   }
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   service::ServiceOptions sopt;
   sopt.workers = 2;
   sopt.queue_capacity = 64;
-  sopt.engine = engine_opts;
   if (trace) sopt.tracer = &server_tracer;
   service::Service svc(sopt);
   net::ServerOptions nopt;

@@ -6,7 +6,7 @@ Usage: check_mapper_gate.py CURRENT.json [BASELINE.json]
 
 CURRENT.json is a fresh BENCH_mapper.json.  Three acceptance criteria,
 all measured in the SAME run so they are independent of how fast the
-host happens to be (same style as check_batch_gate.py):
+host happens to be:
 
   * quality vs the paper: worst_mapped_vs_manual <= 1.0 — on every
     Table-4 budget the exact mapper re-derives or beats the paper's

@@ -18,8 +18,8 @@ before writing its JSON, or a baseline someone forgot to commit, must
 not silently pass as "no shared metrics".
 
 Comparing numbers produced by different execution engines is apples to
-oranges (batch mode is >5x the interpreter by design), so a pair whose
-"engine" fields disagree is also a hard error.  Reports predating the
+oranges (the threaded engine is faster than the interpreter by design),
+so a pair whose "engine" fields disagree is also a hard error.  Reports predating the
 field count as "interp".
 """
 

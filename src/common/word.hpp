@@ -39,9 +39,21 @@ constexpr Word from_signed(std::int64_t v) noexcept {
 constexpr Word word_add(Word a, Word b) noexcept { return truncate_word(a + b); }
 /// Wrapping 48-bit subtraction.
 constexpr Word word_sub(Word a, Word b) noexcept { return truncate_word(a - b); }
-/// Wrapping 48-bit multiplication (low 48 bits of the product).
+/// Wrapping 48-bit multiplication (low 48 bits of the product).  The low
+/// bits of a two's-complement product do not depend on the operands'
+/// signs, so the unsigned product (which wraps, never overflows) is exact.
 constexpr Word word_mul(Word a, Word b) noexcept {
-  return from_signed(to_signed(a) * to_signed(b));
+  return truncate_word(a * b);
+}
+
+/// The DSP-macro accumulator step: acc + to_signed(a) * to_signed(b),
+/// wrapping modulo 2^64.  Two 48-bit operands give a product of up to 94
+/// bits, so this is computed in unsigned arithmetic, where wrap is defined.
+constexpr std::int64_t acc_mac(std::int64_t acc, Word a, Word b) noexcept {
+  return static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(acc) +
+      static_cast<std::uint64_t>(to_signed(a)) *
+          static_cast<std::uint64_t>(to_signed(b)));
 }
 
 /// Hex rendering ("0x0123456789ab") used by the disassembler and dumps.

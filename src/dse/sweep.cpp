@@ -15,9 +15,8 @@ int default_lanes() {
 }
 }  // namespace
 
-Sweep::Sweep(engine::EngineOptions options) : options_(options) {
-  int lanes = options.threads;
-  if (lanes <= 0) lanes = default_lanes();
+Sweep::Sweep(int threads) {
+  const int lanes = threads > 0 ? threads : default_lanes();
   threads_.reserve(static_cast<std::size_t>(lanes - 1));
   for (int i = 1; i < lanes; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -96,46 +95,6 @@ void Sweep::parallel_for(int n, const std::function<void(int)>& fn) {
     error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
-}
-
-std::vector<fabric::RunResult> Sweep::run_fabrics(
-    std::span<fabric::Fabric* const> fabrics, std::int64_t max_cycles) {
-  const int n = static_cast<int>(fabrics.size());
-  std::vector<fabric::RunResult> results(static_cast<std::size_t>(n));
-  if (n == 0) return results;
-
-  if (options_.kind == engine::EngineKind::kBatch) {
-    // Chunk the population into batch_width lockstep groups; each group is
-    // one candidate for the lane pool.  BatchEngine::run_batch itself falls
-    // back to sequential interpreter runs for a group it cannot lockstep
-    // (shape mismatch, duplicates), so results stay positional and
-    // bit-identical regardless.
-    const int width = options_.batch_width > 0 ? options_.batch_width : 1;
-    const int groups = (n + width - 1) / width;
-    parallel_for(groups, [&](int gi) {
-      const int lo = gi * width;
-      const int hi = std::min(lo + width, n);
-      engine::BatchEngine batch(hi - lo);
-      const auto group = batch.run_batch(
-          fabrics.subspan(static_cast<std::size_t>(lo),
-                          static_cast<std::size_t>(hi - lo)),
-          max_cycles);
-      std::copy(group.begin(), group.end(),
-                results.begin() + lo);
-    });
-    return results;
-  }
-
-  parallel_for(n, [&](int i) {
-    fabric::Fabric& f = *fabrics[static_cast<std::size_t>(i)];
-    if (options_.kind == engine::EngineKind::kInterp) {
-      f.attach_engine(nullptr);  // pin the interpreter
-    } else {
-      f.adopt_engine(engine::make_engine(options_));
-    }
-    results[static_cast<std::size_t>(i)] = f.run(max_cycles);
-  });
-  return results;
 }
 
 std::vector<mapping::SweepPoint> Sweep::rebalance_sweep(

@@ -3,9 +3,7 @@
 // DSE sweeps (tile-budget rebalancing, per-stage kernel timing, link-cost
 // grids) evaluate many independent candidates; each evaluation is a pure
 // function of its inputs.  dse::Sweep runs such candidate sets on a small
-// fixed-size thread pool with the calling thread as one of the lanes, and
-// runs fabric populations under a configurable execution engine — the one
-// engine::EngineOptions knob shared with the CLI flag and ServiceOptions.
+// fixed-size thread pool with the calling thread as one of the lanes.
 //
 // Determinism rules (docs/ARCHITECTURE.md, "Execution engines"):
 //   * Candidates must not share mutable state — each builds its own Fabric
@@ -13,9 +11,7 @@
 //     mutable globals; function-local const statics are init-once).
 //   * Results are written to slot `i` of a pre-sized vector, so the output
 //     order is the candidate order no matter how lanes interleave.  A
-//     sweep therefore produces bit-identical results with 1 or N workers —
-//     and, for run_fabrics, with any engine kind (the engines' bit-identity
-//     contract, tests/test_engine.cpp).
+//     sweep therefore produces bit-identical results with 1 or N workers.
 //   * Work is claimed from a shared atomic counter (dynamic load balance);
 //     no candidate is evaluated twice, none is skipped.
 #pragma once
@@ -31,7 +27,6 @@
 #include <vector>
 
 #include "dse/fft_perf_model.hpp"
-#include "engine/engine.hpp"
 #include "mapper/mapper.hpp"
 #include "mapping/rebalance.hpp"
 
@@ -43,25 +38,19 @@ struct MapperSweepPoint {
   mapper::MappedNetwork mapped;
 };
 
-/// The one sweep driver: a fixed-size pool of evaluation lanes plus an
-/// execution-engine choice for fabric runs.
+/// The one sweep driver: a fixed-size pool of evaluation lanes.
 ///
-/// `options.threads` = concurrent evaluation lanes, including the calling
-/// thread (so `threads - 1` workers are spawned); `<= 0` picks a small
-/// default from the hardware, `1` runs every job inline on the caller — the
+/// `threads` = concurrent evaluation lanes, including the calling thread
+/// (so `threads - 1` workers are spawned); `<= 0` picks a small default
+/// from the hardware, `1` runs every job inline on the caller — the
 /// reference against which parallel runs must be identical.
-/// `options.kind` / `options.batch_width` select how run_fabrics executes.
 class Sweep {
  public:
-  explicit Sweep(engine::EngineOptions options = {});
+  explicit Sweep(int threads = 0);
   ~Sweep();
 
   Sweep(const Sweep&) = delete;
   Sweep& operator=(const Sweep&) = delete;
-
-  [[nodiscard]] const engine::EngineOptions& options() const noexcept {
-    return options_;
-  }
 
   /// Total evaluation lanes (spawned threads + the caller).
   [[nodiscard]] int lanes() const noexcept {
@@ -80,16 +69,6 @@ class Sweep {
     parallel_for(n, [&](int i) { out[static_cast<std::size_t>(i)] = fn(i); });
     return out;
   }
-
-  /// Run every fabric for up to `max_cycles` under the sweep's engine;
-  /// results are positionally matched to `fabrics`.  kBatch chunks the
-  /// population into batch_width lockstep groups (BatchEngine::run_batch),
-  /// groups spread across the lanes; other kinds run each fabric on its own
-  /// lane with the chosen engine attached.  Results are bit-identical
-  /// across engine kinds and lane counts.  Any engine previously attached
-  /// to a fabric is replaced.
-  std::vector<fabric::RunResult> run_fabrics(
-      std::span<fabric::Fabric* const> fabrics, std::int64_t max_cycles);
 
   /// mapping::sweep with the per-budget rebalance+evaluate candidates
   /// spread over the lanes.  Output is identical to the serial
@@ -118,7 +97,6 @@ class Sweep {
   void worker_loop();
   void drain(const std::function<void(int)>* job, int n);
 
-  engine::EngineOptions options_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< Wakes workers on a new job / stop.

@@ -8,33 +8,32 @@ namespace cgra::engine {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view spec) {
+[[noreturn]] void bad_name(std::string_view name) {
   std::fprintf(stderr,
-               "invalid --engine spec '%.*s' (expected interp | threaded | "
-               "batch[:width])\n",
-               static_cast<int>(spec.size()), spec.data());
+               "invalid --engine '%.*s' (expected interp | threaded)\n",
+               static_cast<int>(name.size()), name.data());
   std::exit(2);
 }
 
 }  // namespace
 
-EngineOptions apply_engine_flag(int* argc, char** argv) {
-  std::optional<EngineOptions> chosen;
+EngineKind apply_engine_flag(int* argc, char** argv) {
+  std::optional<EngineKind> chosen;
   int w = 1;
   for (int r = 1; r < *argc; ++r) {
     const std::string_view arg = argv[r];
-    std::string_view spec;
+    std::string_view name;
     if (arg == "--engine") {
-      if (r + 1 >= *argc) bad_spec("");
-      spec = argv[++r];
+      if (r + 1 >= *argc) bad_name("");
+      name = argv[++r];
     } else if (arg.starts_with("--engine=")) {
-      spec = arg.substr(sizeof("--engine=") - 1);
+      name = arg.substr(sizeof("--engine=") - 1);
     } else {
       argv[w++] = argv[r];
       continue;
     }
-    const auto parsed = parse_engine_spec(spec);
-    if (!parsed.has_value()) bad_spec(spec);
+    const auto parsed = engine_from_name(name);
+    if (!parsed.has_value()) bad_name(name);
     chosen = *parsed;  // last one wins, like most flag parsers
   }
   for (int r = w; r < *argc; ++r) argv[r] = nullptr;

@@ -1,7 +1,7 @@
 // Shared --engine flag handling for every executable entry point
 // (profile_run, serve_demo, the bench mains).  One parser, one spelling:
 //
-//   --engine=interp | threaded | batch[:width]      (or "--engine SPEC")
+//   --engine=interp | threaded      (or "--engine NAME")
 //
 // The chosen engine is installed as the process-wide default
 // (engine::use_process_engine), so every fabric created afterwards runs on
@@ -15,7 +15,7 @@ namespace cgra::engine {
 
 /// Consume any --engine arguments from argv (compacting it in place and
 /// updating *argc), install the selection process-wide, and return it.
-/// Prints a diagnostic and exits with status 2 on a malformed spec.
-EngineOptions apply_engine_flag(int* argc, char** argv);
+/// Prints a diagnostic and exits with status 2 on an unknown engine name.
+EngineKind apply_engine_flag(int* argc, char** argv);
 
 }  // namespace cgra::engine

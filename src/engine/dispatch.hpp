@@ -2,11 +2,8 @@
 //
 // One templated specialization of the shared step core per
 // (opcode, remote-destination, immediate) combination, generated over the
-// whole opcode space at compile time.  The threaded engine indexes the
-// per-instruction table (StepFn over a TileView); the batch engine indexes
-// the per-lane-loop table (VecStepFn over its SoA lane context), where the
-// instance loop sits INSIDE the specialization so the compiler can
-// vectorize the ALU work across lanes.
+// whole opcode space at compile time; the threaded engine indexes the
+// per-instruction table (StepFn over a TileView).
 //
 // Classification normalizes don't-care flag bits — a remote flag on an
 // opcode that writes nothing, an immediate flag on one that reads no opB —
@@ -26,42 +23,39 @@ namespace cgra::engine::detail {
 inline constexpr std::size_t kOpcodeSlots =
     static_cast<std::size_t>(isa::Opcode::kOpcodeCount);
 
-/// One instruction against one view (threaded engine).
-template <class View>
-using StepFn = bool (*)(View&, const isa::DecodedInstr&, fabric::LinkState);
+/// One instruction against one tile.
+using StepFn = bool (*)(fabric::TileView&, const isa::DecodedInstr&,
+                        fabric::LinkState);
 
-template <class View, isa::Opcode Op, bool Remote, bool UseImm>
-bool exec_fast(View& v, const isa::DecodedInstr& in, fabric::LinkState link) {
+template <isa::Opcode Op, bool Remote, bool UseImm>
+bool exec_fast(fabric::TileView& v, const isa::DecodedInstr& in,
+               fabric::LinkState link) {
   return fabric::core::exec_instr<fabric::core::FastTraits<Op, Remote, UseImm>>(
       v, in, link);
 }
 
 /// Fallback for instructions fast_eligible() rejects: the full dynamic
 /// core, i.e. exactly what the interpreter runs.
-template <class View>
-bool exec_generic(View& v, const isa::DecodedInstr& in,
-                  fabric::LinkState link) {
+inline bool exec_generic(fabric::TileView& v, const isa::DecodedInstr& in,
+                         fabric::LinkState link) {
   return fabric::core::exec_instr<fabric::core::DynTraits>(v, in, link);
 }
 
-template <class View, std::size_t I>
-constexpr std::array<StepFn<View>, 4> step_variants() {
+template <std::size_t I>
+constexpr std::array<StepFn, 4> step_variants() {
   constexpr auto kOp = static_cast<isa::Opcode>(I);
-  return {&exec_fast<View, kOp, false, false>,
-          &exec_fast<View, kOp, false, true>,
-          &exec_fast<View, kOp, true, false>,
-          &exec_fast<View, kOp, true, true>};
+  return {&exec_fast<kOp, false, false>, &exec_fast<kOp, false, true>,
+          &exec_fast<kOp, true, false>, &exec_fast<kOp, true, true>};
 }
 
-template <class View, std::size_t... Is>
+template <std::size_t... Is>
 constexpr auto make_step_table(std::index_sequence<Is...>) {
-  return std::array<std::array<StepFn<View>, 4>, sizeof...(Is)>{
-      step_variants<View, Is>()...};
+  return std::array<std::array<StepFn, 4>, sizeof...(Is)>{
+      step_variants<Is>()...};
 }
 
-template <class View>
 inline constexpr auto kStepTable =
-    make_step_table<View>(std::make_index_sequence<kOpcodeSlots>{});
+    make_step_table(std::make_index_sequence<kOpcodeSlots>{});
 
 [[nodiscard]] constexpr std::size_t variant_index(
     const isa::DecodedInstr& in) noexcept {
@@ -72,70 +66,9 @@ inline constexpr auto kStepTable =
 
 /// The specialization executing `in`, or the generic core when it is not
 /// fast-eligible.  Never null.
-template <class View>
-[[nodiscard]] StepFn<View> select_step_fn(const isa::DecodedInstr& in) {
-  if (!fabric::core::fast_eligible(in)) return &exec_generic<View>;
-  return kStepTable<View>[static_cast<std::size_t>(in.opcode)]
-                         [variant_index(in)];
-}
-
-/// One uniform instruction across every lane of a batch context (batch
-/// engine).  Ctx supplies: lane_count(), view(j) -> a step-core View,
-/// link(j), and on_fault(j) — called when the lane's execution raised.
-template <class Ctx>
-using VecStepFn = void (*)(Ctx&, const isa::DecodedInstr&);
-
-template <class Ctx, isa::Opcode Op, bool Remote, bool UseImm>
-void exec_vec(Ctx& c, const isa::DecodedInstr& in) {
-  const int n = c.lane_count();
-  for (int j = 0; j < n; ++j) {
-    auto v = c.view(j);
-    if (!fabric::core::exec_instr<
-            fabric::core::FastTraits<Op, Remote, UseImm>>(v, in, c.link(j))) {
-      c.on_fault(j);
-    }
-  }
-}
-
-template <class Ctx, std::size_t I>
-constexpr std::array<VecStepFn<Ctx>, 4> vec_variants() {
-  constexpr auto kOp = static_cast<isa::Opcode>(I);
-  return {&exec_vec<Ctx, kOp, false, false>, &exec_vec<Ctx, kOp, false, true>,
-          &exec_vec<Ctx, kOp, true, false>, &exec_vec<Ctx, kOp, true, true>};
-}
-
-template <class Ctx, std::size_t... Is>
-constexpr auto make_vec_table(std::index_sequence<Is...>) {
-  return std::array<std::array<VecStepFn<Ctx>, 4>, sizeof...(Is)>{
-      vec_variants<Ctx, Is>()...};
-}
-
-template <class Ctx>
-inline constexpr auto kVecTable =
-    make_vec_table<Ctx>(std::make_index_sequence<kOpcodeSlots>{});
-
-/// The lane-loop specialization for `in`, or nullptr when it is not
-/// fast-eligible (caller runs the scalar per-lane path instead).
-template <class Ctx>
-[[nodiscard]] VecStepFn<Ctx> select_vec_fn(const isa::DecodedInstr& in) {
-  if (!fabric::core::fast_eligible(in)) return nullptr;
-  return kVecTable<Ctx>[static_cast<std::size_t>(in.opcode)]
-                       [variant_index(in)];
-}
-
-/// The dynamic-core lane loop for uniform instructions select_vec_fn
-/// rejects (indirect addressing, oob fields): every lane runs the full
-/// interpreter body, but dispatch and operand classification are still
-/// amortized across the batch.  The caller has bounds-checked the pc.
-template <class Ctx>
-void exec_vec_generic(Ctx& c, const isa::DecodedInstr& in) {
-  const int n = c.lane_count();
-  for (int j = 0; j < n; ++j) {
-    auto v = c.view(j);
-    if (!fabric::core::exec_instr<fabric::core::DynTraits>(v, in, c.link(j))) {
-      c.on_fault(j);
-    }
-  }
+[[nodiscard]] inline StepFn select_step_fn(const isa::DecodedInstr& in) {
+  if (!fabric::core::fast_eligible(in)) return &exec_generic;
+  return kStepTable[static_cast<std::size_t>(in.opcode)][variant_index(in)];
 }
 
 /// True when `in` can run in a checked-free straight line: it cannot

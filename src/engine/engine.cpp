@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
-#include <charconv>
-#include <mutex>
+#include <atomic>
 
 #include "obs/bench_report.hpp"
 
@@ -13,8 +12,6 @@ const char* engine_name(EngineKind kind) noexcept {
       return "interp";
     case EngineKind::kThreaded:
       return "threaded";
-    case EngineKind::kBatch:
-      return "batch";
   }
   return "interp";
 }
@@ -22,95 +19,45 @@ const char* engine_name(EngineKind kind) noexcept {
 std::optional<EngineKind> engine_from_name(std::string_view name) noexcept {
   if (name == "interp") return EngineKind::kInterp;
   if (name == "threaded") return EngineKind::kThreaded;
-  if (name == "batch") return EngineKind::kBatch;
   return std::nullopt;
 }
 
-std::optional<EngineOptions> parse_engine_spec(std::string_view spec) noexcept {
-  EngineOptions options;
-  const std::size_t colon = spec.find(':');
-  const std::string_view name =
-      colon == std::string_view::npos ? spec : spec.substr(0, colon);
-  const auto kind = engine_from_name(name);
-  if (!kind.has_value()) return std::nullopt;
-  options.kind = *kind;
-  if (colon != std::string_view::npos) {
-    // Only the batch engine takes a parameter ("batch:16").
-    if (options.kind != EngineKind::kBatch) return std::nullopt;
-    const std::string_view arg = spec.substr(colon + 1);
-    int width = 0;
-    const auto [ptr, ec] =
-        std::from_chars(arg.data(), arg.data() + arg.size(), width);
-    if (ec != std::errc{} || ptr != arg.data() + arg.size() || width <= 0) {
-      return std::nullopt;
-    }
-    options.batch_width = width;
-  }
-  return options;
-}
-
-std::string engine_spec(const EngineOptions& options) {
-  std::string spec = engine_name(options.kind);
-  if (options.kind == EngineKind::kBatch) {
-    spec += ':';
-    spec += std::to_string(options.batch_width);
-  }
-  return spec;
-}
-
-std::unique_ptr<ExecutionEngine> make_engine(const EngineOptions& options) {
-  switch (options.kind) {
-    case EngineKind::kThreaded:
-      return std::make_unique<ThreadedEngine>();
-    case EngineKind::kBatch:
-      return std::make_unique<BatchEngine>(options.batch_width);
-    case EngineKind::kInterp:
-      break;
-  }
+std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind) {
+  if (kind == EngineKind::kThreaded) return std::make_unique<ThreadedEngine>();
   return std::make_unique<InterpreterEngine>();
 }
 
 namespace {
 
-std::mutex& process_engine_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-EngineOptions& process_engine_options() {
-  static EngineOptions options;
-  return options;
+std::atomic<EngineKind>& process_engine_kind() {
+  static std::atomic<EngineKind> kind{EngineKind::kInterp};
+  return kind;
 }
 
 std::unique_ptr<fabric::ExecutionHook> make_process_default() {
-  const EngineOptions options = process_engine();
+  const EngineKind kind = process_engine();
   // nullptr keeps the built-in interpreter (Fabric::resolve_engine).
-  if (options.kind == EngineKind::kInterp) return nullptr;
-  return make_engine(options);
+  if (kind == EngineKind::kInterp) return nullptr;
+  return make_engine(kind);
 }
 
 }  // namespace
 
-void use_process_engine(const EngineOptions& options) {
-  {
-    const std::lock_guard<std::mutex> lock(process_engine_mutex());
-    process_engine_options() = options;
-  }
+void use_process_engine(EngineKind kind) {
+  process_engine_kind().store(kind);
   fabric::set_default_engine_factory(
-      options.kind == EngineKind::kInterp ? nullptr : &make_process_default);
+      kind == EngineKind::kInterp ? nullptr : &make_process_default);
   // Keep BENCH_*.json stamps in sync so perf_compare.py can refuse
   // cross-engine comparisons.
-  obs::set_bench_engine_label(engine_spec(options));
+  obs::set_bench_engine_label(engine_name(kind));
 }
 
-EngineOptions process_engine() {
-  const std::lock_guard<std::mutex> lock(process_engine_mutex());
-  return process_engine_options();
-}
+EngineKind process_engine() noexcept { return process_engine_kind().load(); }
 
 void install_build_default() {
 #ifdef CGRA_DEFAULT_ENGINE_NAME
-  if (const auto options = parse_engine_spec(CGRA_DEFAULT_ENGINE_NAME)) {
-    if (options->kind != EngineKind::kInterp) use_process_engine(*options);
+  if (const auto kind = engine_from_name(CGRA_DEFAULT_ENGINE_NAME)) {
+    if (*kind != EngineKind::kInterp) use_process_engine(*kind);
   }
 #endif
 }

@@ -1,4 +1,4 @@
-// Pluggable execution engines: one cgra::engine API over three
+// Pluggable execution engines: one cgra::engine API over two
 // implementations (docs/ARCHITECTURE.md, "Execution engines").
 //
 //   * InterpreterEngine — the built-in reference interpreter, explicitly.
@@ -6,56 +6,32 @@
 //                         into templated straight-line superinstructions,
 //                         re-specialized when a tile's code_version() moves
 //                         (imem pokes, reloads).
-//   * BatchEngine       — N same-shape fabrics stepped in lockstep over
-//                         SoA tile state; same-program tiles take a
-//                         vectorized path, divergent ones a scalar one.
 //
-// Every engine is bit-identical to the interpreter: same cycle counts,
-// TileStats, fault records, remote-write commit order and trace event
-// streams (tests/test_engine.cpp enforces the cross-product).  All engines
-// run the one shared semantic core (fabric/step_core.hpp) and the one
-// shared per-cycle sweep (fabric/exec_access.hpp), so identity holds by
+// The threaded engine is bit-identical to the interpreter: same cycle
+// counts, TileStats, fault records, remote-write commit order and trace
+// event streams (tests/test_engine.cpp enforces it).  Both run the one
+// shared semantic core (fabric/step_core.hpp) and the one shared
+// per-cycle sweep (fabric/exec_access.hpp), so identity holds by
 // construction, not by parallel maintenance.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "fabric/fabric.hpp"
 
 namespace cgra::engine {
 
 /// Which execution strategy drives a fabric.
-enum class EngineKind { kInterp, kThreaded, kBatch };
+enum class EngineKind { kInterp, kThreaded };
 
-/// Engine selection plus its tuning knobs — the one options struct shared
-/// by the CLI flag, dse::Sweep and ServiceOptions.
-struct EngineOptions {
-  EngineKind kind = EngineKind::kInterp;
-  int batch_width = 8;  ///< Lockstep replicas per batch group (kBatch).
-  int threads = 0;      ///< Sweep worker threads (0 = hardware concurrency).
-
-  friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
-};
-
-/// Canonical name: "interp" | "threaded" | "batch".
+/// Canonical name: "interp" | "threaded".
 [[nodiscard]] const char* engine_name(EngineKind kind) noexcept;
-/// Inverse of engine_name.
+/// Inverse of engine_name; nullopt for any other string.
 [[nodiscard]] std::optional<EngineKind> engine_from_name(
     std::string_view name) noexcept;
-
-/// Parse an engine spec: "interp", "threaded" or "batch[:width]"
-/// (e.g. "batch:16").  Returns nullopt on an unknown name or a
-/// non-positive width.
-[[nodiscard]] std::optional<EngineOptions> parse_engine_spec(
-    std::string_view spec) noexcept;
-/// Render options back to a spec parse_engine_spec accepts.
-[[nodiscard]] std::string engine_spec(const EngineOptions& options);
 
 /// Common base: a fabric::ExecutionHook that knows which kind it is.
 class ExecutionEngine : public fabric::ExecutionHook {
@@ -105,51 +81,16 @@ class ThreadedEngine final : public ExecutionEngine {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Lockstep batch stepping: N same-shape fabrics execute cycle-for-cycle
-/// over struct-of-arrays tile state (data memories interleaved by
-/// instance), so same-program tiles amortize dispatch to one indirect call
-/// per (tile, cycle) and the ALU work vectorizes across instances.
-/// Instances that diverge (data-dependent branches, faults, halts) fall
-/// back to a scalar per-instance path that is the interpreter body —
-/// results stay bit-identical either way.
-class BatchEngine final : public ExecutionEngine {
- public:
-  explicit BatchEngine(int batch_width = 8) noexcept
-      : width_(batch_width > 0 ? batch_width : 1) {}
+/// Construct an engine of `kind`; kInterp returns an InterpreterEngine.
+[[nodiscard]] std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind);
 
-  [[nodiscard]] EngineKind kind() const noexcept override {
-    return EngineKind::kBatch;
-  }
-  [[nodiscard]] int width() const noexcept { return width_; }
-
-  fabric::RunResult run(fabric::Fabric& fabric,
-                        std::int64_t max_cycles) override;
-  int step(fabric::Fabric& fabric) override;
-
-  /// Run every fabric for up to `max_cycles`, in lockstep.  Results are
-  /// positionally matched to `fabrics`.  All fabrics must share one shape
-  /// and be distinct; otherwise each runs sequentially on the interpreter
-  /// (bit-identical, just unbatched).  A shared Tracer receives the same
-  /// per-fabric event subsequences as sequential runs would produce, but
-  /// interleaved across instances in cycle order.
-  std::vector<fabric::RunResult> run_batch(
-      std::span<fabric::Fabric* const> fabrics, std::int64_t max_cycles);
-
- private:
-  int width_;
-};
-
-/// Construct an engine for `options`; kInterp returns an InterpreterEngine.
-[[nodiscard]] std::unique_ptr<ExecutionEngine> make_engine(
-    const EngineOptions& options);
-
-/// Install `options` as the process-wide default: fabrics that never had an
+/// Install `kind` as the process-wide default: fabrics that never had an
 /// engine attached resolve it lazily on first run()/step()
 /// (fabric::set_default_engine_factory).  Thread-safe; kInterp clears the
 /// factory so such fabrics stay on the built-in interpreter.
-void use_process_engine(const EngineOptions& options);
+void use_process_engine(EngineKind kind);
 /// The currently installed process-wide default.
-[[nodiscard]] EngineOptions process_engine();
+[[nodiscard]] EngineKind process_engine() noexcept;
 
 /// Install the build-configured default engine (the CGRA_DEFAULT_ENGINE
 /// CMake cache variable, e.g. the CI leg that runs the whole test suite on

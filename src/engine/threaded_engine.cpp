@@ -37,7 +37,7 @@ using fabric::TileView;
 struct ThreadedEngine::Impl {
   struct TileSpec {
     std::uint64_t version = ~std::uint64_t{0};  ///< code_version it matches.
-    std::vector<detail::StepFn<TileView>> fn;   ///< Per pc.
+    std::vector<detail::StepFn> fn;  ///< Per pc.
     /// Per pc: length of the pure straight-line run starting there,
     /// bounded by the enclosing basic block (0 = not pure).
     std::vector<std::int32_t> fast_run;
@@ -66,7 +66,7 @@ struct ThreadedEngine::Impl {
     sp.fast_run.assign(static_cast<std::size_t>(n), 0);
     for (int i = 0; i < n; ++i) {
       sp.fn[static_cast<std::size_t>(i)] =
-          detail::select_step_fn<TileView>(dec[static_cast<std::size_t>(i)]);
+          detail::select_step_fn(dec[static_cast<std::size_t>(i)]);
     }
     for (const auto& b : isa::segment_blocks(dec)) {
       std::int32_t run = 0;
@@ -126,7 +126,7 @@ struct ThreadedEngine::Impl {
     std::int64_t committed = 0;
     ExecAccess::set_stepping(f, true);
     while (done < limit) {
-      const int pc = TileExec::pc(tile);
+      const int pc = tile.pc();
       if (pc < 0 || pc >= n) {
         // Same raise as the Tile::step prologue; the fault transition gets
         // the same cycle accounting as ExecAccess::run_cycle gives it.
@@ -146,7 +146,7 @@ struct ThreadedEngine::Impl {
         // occur, so nothing but this tile's state is touched.
         TileView v(tile, t, ExecAccess::cycle(f), buf);
         for (std::int64_t k = 0; k < run; ++k) {
-          const int p = TileExec::pc(tile);
+          const int p = tile.pc();
           sp.fn[static_cast<std::size_t>(p)](
               v, dec[static_cast<std::size_t>(p)], link);
         }

@@ -9,7 +9,6 @@
 // remote-write commit order) exists exactly once.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -65,13 +64,11 @@ struct ExecAccess {
   /// does; engines that execute many cycles between scheduler visits flush
   /// the totals once (counter end states are identical).
   static void flush_cycle_metrics(Fabric& f, std::int64_t cycles,
-                                  std::int64_t retired, std::int64_t remote,
-                                  std::int64_t faults = 0) {
+                                  std::int64_t retired, std::int64_t remote) {
     if (f.metrics_ == nullptr) return;
     f.metrics_->add(f.m_cycles_, cycles);
     f.metrics_->add(f.m_retired_, retired);
     f.metrics_->add(f.m_remote_writes_, remote);
-    if (faults != 0) f.metrics_->add(f.m_faults_, faults);
   }
 
   /// One synchronous cycle over the active list with a pluggable per-tile
@@ -164,41 +161,6 @@ struct ExecAccess {
       f.metrics_->add(f.m_remote_writes_, committed);
     }
     return retired;
-  }
-
-  /// Rebuild the scheduler state (classes, active list, wake queue, halted
-  /// count, settlement boundaries) from the tiles' architectural state at
-  /// the current cycle.  The batch engine calls this after SoA write-back,
-  /// where every tile's stats are settled exactly to cycle_.
-  static void rebuild_scheduler(Fabric& f) {
-    f.active_.clear();
-    std::fill(f.in_active_.begin(), f.in_active_.end(), 0);
-    f.wake_ = {};
-    f.halted_count_ = 0;
-    f.stepping_ = false;
-    f.active_dirty_ = false;
-    for (int t = 0; t < f.tile_count(); ++t) {
-      const auto k = static_cast<std::size_t>(t);
-      const Tile& tile = f.tiles_[k];
-      const Fabric::TileClass c =
-          tile.halted()                      ? Fabric::TileClass::kHalted
-          : tile.stalled_until() > f.cycle_ ? Fabric::TileClass::kStalled
-                                             : Fabric::TileClass::kActive;
-      f.class_[k] = c;
-      f.settled_[k] = f.cycle_;
-      switch (c) {
-        case Fabric::TileClass::kHalted:
-          ++f.halted_count_;
-          break;
-        case Fabric::TileClass::kActive:
-          f.active_.push_back(t);  // ascending t: list stays sorted
-          f.in_active_[k] = 1;
-          break;
-        case Fabric::TileClass::kStalled:
-          f.wake_.emplace(tile.stalled_until(), t);
-          break;
-      }
-    }
   }
 };
 

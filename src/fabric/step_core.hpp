@@ -5,9 +5,8 @@
 // instruction against a View of some tile state.  The interpreter
 // (Tile::step) instantiates it with DynTraits over a TileView; the
 // threaded engine instantiates FastTraits<opcode, remote, imm>
-// specializations (superinstructions) over the same TileView; the batch
-// engine instantiates both traits over an SoA view.  Because all engines
-// run the same template body, bit-identity across engines — faults,
+// specializations (superinstructions) over the same TileView.  Because
+// both engines run the same template body, bit-identity — faults,
 // write-back order, stats, pc updates — holds by construction; the
 // conformance suite (tests/test_engine.cpp) checks it anyway.
 //
@@ -64,22 +63,10 @@ class TileView {
   std::vector<RemoteWrite>& out_;
 };
 
-/// Raw state access for engines that relocate tile state wholesale (the
-/// batch engine's SoA extraction/write-back) or key caches on the
-/// instruction image (the threaded engine's specializer).
+/// The state the threaded engine's specializer reads directly: the
+/// predecoded image it specializes and the stats its prologue bumps.
 struct TileExec {
-  static std::array<Word, static_cast<std::size_t>(kDataMemWords)>& dmem(
-      Tile& t) noexcept {
-    return t.dmem_;
-  }
-  static std::int64_t& acc(Tile& t) noexcept { return t.acc_; }
-  static int& pc(Tile& t) noexcept { return t.pc_; }
-  static bool& halted(Tile& t) noexcept { return t.halted_; }
-  static Fault& fault(Tile& t) noexcept { return t.fault_; }
   static TileStats& stats(Tile& t) noexcept { return t.stats_; }
-  static const std::vector<isa::Instruction>& code(const Tile& t) noexcept {
-    return t.code_;
-  }
   static const std::vector<isa::DecodedInstr>& decoded(
       const Tile& t) noexcept {
     return t.decoded_;
@@ -259,10 +246,10 @@ inline bool exec_instr(View& v, const isa::DecodedInstr& in, LinkState link) {
       next_pc = in.imm;
       break;
     case Opcode::kMacz:
-      v.acc() = to_signed(a) * to_signed(b);
+      v.acc() = acc_mac(0, a, b);
       break;
     case Opcode::kMac:
-      v.acc() += to_signed(a) * to_signed(b);
+      v.acc() = acc_mac(v.acc(), a, b);
       break;
     case Opcode::kMacr:
       result = from_signed(v.acc());

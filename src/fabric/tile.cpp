@@ -153,9 +153,9 @@ bool Tile::step(int tile_index, std::int64_t cycle, LinkState link,
     raise(FaultKind::kPcOutOfRange, tile_index, cycle);
     return false;
   }
-  // The semantics live in the shared step core (step_core.hpp) so every
-  // execution engine — this interpreter, the threaded superinstructions,
-  // the batch SoA stepper — runs the same body.
+  // The semantics live in the shared step core (step_core.hpp) so both
+  // execution engines — this interpreter and the threaded
+  // superinstructions — run the same body.
   const DecodedInstr& in = decoded_[static_cast<std::size_t>(pc_)];
   TileView view(*this, tile_index, cycle, remote_out);
   return core::exec_instr<core::DynTraits>(view, in, link);

@@ -44,8 +44,8 @@ enum class Opcode : std::uint8_t {
   // DSP-macro accumulator ops: the FPGA's hard DSP48 keeps a private
   // accumulator, so multiply-accumulate needs no third memory read and the
   // 2R1W data-memory constraint still holds.
-  kMacz,      ///< acc <- [srcA] * opB
-  kMac,       ///< acc <- acc + [srcA] * opB
+  kMacz,      ///< acc <- [srcA] * opB (wrapping modulo 2^64)
+  kMac,       ///< acc <- acc + [srcA] * opB (wrapping modulo 2^64)
   kMacr,      ///< dst <- acc (truncated to 48 bits)
   kOpcodeCount
 };

@@ -79,7 +79,6 @@ Service::Service(ServiceOptions opt)
         o.workers = std::max(1, o.workers);
         o.queue_capacity = std::max(1, o.queue_capacity);
         o.batch_limit = std::max(1, o.batch_limit);
-        o.fusion_window_us = std::max(0, o.fusion_window_us);
         return o;
       }()),
       pool_(opt.max_fabrics_per_shape),
@@ -99,8 +98,6 @@ Service::Service(ServiceOptions opt)
     batches_ = metrics_.counter("service.batches");
     crashes_ = metrics_.counter("service.worker.crashes");
     lease_retries_ = metrics_.counter("service.lease.retries");
-    window_waits_ = metrics_.counter("service.fusion.window_waits");
-    window_gains_ = metrics_.counter("service.fusion.window_gains");
     batch_size_ = metrics_.histogram("service.batch.size",
                                      {1.0, 2.0, 4.0, 8.0, 16.0});
   }
@@ -149,13 +146,7 @@ SubmitResult Service::submit(JobRequest request, SubmitOptions options) {
     tracer_->event(state->trace, obs::FlightEventKind::kEnqueue, 0,
                    static_cast<std::uint32_t>(depth));
   }
-  if (opt_.fusion_window_us > 0) {
-    // A worker parked in its fusion window must see every arrival, not
-    // just the one an idle peer happened to absorb.
-    queue_cv_.notify_all();
-  } else {
-    queue_cv_.notify_one();
-  }
+  queue_cv_.notify_one();
   return {std::move(state), Status()};
 }
 
@@ -383,13 +374,6 @@ FabricPool::Lease Service::acquire_fabric(int rows, int cols,
     tracer_->event(head->trace, obs::FlightEventKind::kLease, shape_code,
                    lease.valid() ? 1 : 0);
   }
-  if (lease.valid() && opt_.engine.has_value()) {
-    if (opt_.engine->kind == engine::EngineKind::kInterp) {
-      lease.get()->attach_engine(nullptr);
-    } else {
-      lease.get()->adopt_engine(engine::make_engine(*opt_.engine));
-    }
-  }
   return lease;
 }
 
@@ -469,47 +453,6 @@ std::vector<JobHandle> Service::next_batch() {
       } else {
         ++it;
       }
-    }
-    // Cross-connection fusion window: with capacity left in the batch,
-    // briefly hold the epoch open for same-key arrivals from other
-    // producers (the reactor's many connections).  DSE and mapper keys
-    // are unique per job, so waiting can never help there.
-    if (opt_.fusion_window_us > 0 && head->request.index() < 3 &&
-        batch.size() < static_cast<std::size_t>(opt_.batch_limit) &&
-        !stopping_) {
-      const auto window_end =
-          now + std::chrono::microseconds(opt_.fusion_window_us);
-      {
-        std::lock_guard<std::mutex> obs(obs_mu_);
-        metrics_.add(window_waits_);
-      }
-      const std::size_t before = batch.size();
-      bool timed_out = false;
-      while (!timed_out && !stopping_ &&
-             batch.size() < static_cast<std::size_t>(opt_.batch_limit)) {
-        timed_out = queue_cv_.wait_until(lock, window_end) ==
-                    std::cv_status::timeout;
-        const auto arrival = std::chrono::steady_clock::now();
-        for (auto it = queue_.begin();
-             it != queue_.end() &&
-             batch.size() < static_cast<std::size_t>(opt_.batch_limit);) {
-          if ((*it)->batch_key == head->batch_key &&
-              (!(*it)->deadline || *(*it)->deadline >= arrival)) {
-            batch.push_back(*it);
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      if (batch.size() > before) {
-        std::lock_guard<std::mutex> obs(obs_mu_);
-        metrics_.add(window_gains_,
-                     static_cast<std::int64_t>(batch.size() - before));
-      }
-      // The window may have swallowed a notify meant for an idle peer;
-      // hand it back if unrelated work is still queued.
-      if (!queue_.empty()) queue_cv_.notify_one();
     }
     lock.unlock();
     if (const auto d = chaos::decide(chaos_, chaos::Hook::kQueueStall);

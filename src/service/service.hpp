@@ -35,7 +35,6 @@
 
 #include "chaos/chaos.hpp"
 #include "common/status.hpp"
-#include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "service/artifact_cache.hpp"
@@ -81,17 +80,6 @@ struct ServiceOptions {
   /// record spans + flight-recorder events here; null disables tracing
   /// at one branch per instrumentation point.
   obs::Tracer* tracer = nullptr;
-  /// Cross-connection fusion window: when > 0, a worker whose batch is
-  /// still below batch_limit holds the queue open this long waiting for
-  /// same-batch-key arrivals (e.g. identical jobs from other
-  /// connections) before paying the setup epoch.  0 keeps the legacy
-  /// take-what-is-queued behaviour.
-  int fusion_window_us = 0;
-  /// Execution engine attached to every leased fabric.  nullopt keeps the
-  /// process-wide default (engine::use_process_engine / the --engine
-  /// flag); kInterp pins the interpreter explicitly.  Job results are
-  /// bit-identical across engines (the engines' conformance contract).
-  std::optional<engine::EngineOptions> engine;
 };
 
 /// The asynchronous job service.  Thread-safe; destruction drains the
@@ -223,8 +211,6 @@ class Service {
   obs::CounterHandle batches_;
   obs::CounterHandle crashes_;
   obs::CounterHandle lease_retries_;
-  obs::CounterHandle window_waits_;
-  obs::CounterHandle window_gains_;
   obs::HistogramHandle batch_size_;
   chaos::ChaosInjector* const chaos_;
   obs::Tracer* const tracer_;

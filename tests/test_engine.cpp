@@ -1,13 +1,13 @@
-// Execution-engine conformance: every engine (interpreter, threaded
-// superinstruction dispatch, lockstep SoA batch) must be bit-identical to
-// the reference interpreter — same cycle counts, TileStats, fault records,
-// data memories, trace event streams and remote-write commit order.
+// Execution-engine conformance: the threaded superinstruction engine must
+// be bit-identical to the reference interpreter — same cycle counts,
+// TileStats, fault records, data memories, trace event streams and
+// remote-write commit order.
 //
 // Structure: a library of workloads exercising every scheduler and fault
 // path runs once per engine on a fresh fabric and the complete observable
 // state is compared field-for-field against the interpreter's; a
 // randomized differential fuzzer then sweeps 64 programs with arbitrary
-// flag/operand mixes across all three engines at once.
+// flag/operand mixes through both engines.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,12 +32,9 @@ isa::Program prog(const std::string& src) {
   return r.program;
 }
 
-constexpr EngineKind kEngines[] = {EngineKind::kInterp, EngineKind::kThreaded,
-                                   EngineKind::kBatch};
+constexpr EngineKind kEngines[] = {EngineKind::kInterp, EngineKind::kThreaded};
 
-void attach(Fabric& f, EngineKind kind) {
-  f.adopt_engine(make_engine(EngineOptions{kind, 4, 0}));
-}
+void attach(Fabric& f, EngineKind kind) { f.adopt_engine(make_engine(kind)); }
 
 /// Full observable-state comparison: `got` (some engine) vs `want` (the
 /// reference interpreter).
@@ -104,13 +101,6 @@ void wl_halt(Fabric& f) {
   f.tile(3).load_program(prog("  movi 0, #2\n  nop\n  nop\n  halt\n"));
   f.tile(0).restart();
   f.tile(3).restart();
-}
-
-void wl_halt_1x2(Fabric& f) {
-  f.tile(0).load_program(prog("  movi 0, #1\n  halt\n"));
-  f.tile(1).load_program(prog("  movi 0, #2\n  nop\n  halt\n"));
-  f.tile(0).restart();
-  f.tile(1).restart();
 }
 
 void wl_stall_fast_forward(Fabric& f) {
@@ -221,7 +211,7 @@ void wl_illegal_poison(Fabric& f) {
 
 void wl_dense_mesh(Fabric& f) {
   // Every tile busy, neighbours exchanging data: the general multi-tile
-  // sweep (and the batch engine's vector path across a full mesh).
+  // sweep.
   for (int t = 0; t < f.tile_count(); ++t) {
     if (t % 2 == 0 && t + 1 < f.tile_count()) {
       f.links().set_output(t, Direction::kEast);
@@ -449,118 +439,41 @@ TEST(EngineConformance, ImemPokeRespecializesBetweenRuns) {
   }
 }
 
-// --- batch-specific behaviour ----------------------------------------------
-
-TEST(BatchEngine, LockstepBatchMatchesSequentialInterpreterPerInstance) {
-  // W instances of one program diverge on their data (branchy countdowns
-  // of different lengths, remote writes, one instance faulting): each
-  // batched result must equal its own sequential interpreter run.
-  constexpr int W = 5;
-  const auto setup = [](Fabric& f, int seed) {
-    f.links().set_output(0, Direction::kEast);
-    f.tile(0).load_program(prog(
-        "  movi 1, #" + std::to_string(5 + 7 * seed) +
-        "\n  movi 2, #0\n"
-        "loop:\n  add 2, 2, 1\n  sub 1, 1, #1\n  bnez 1, loop\n"
-        "  mov !3, 2\n  halt\n"));
-    f.tile(1).load_program(prog("  movi 9, #1\n  nop\n  halt\n"));
+// The ISA's multiplies wrap: mul keeps the low 48 bits of the product and
+// the DSP accumulator wraps modulo 2^64.  Extreme 48-bit operands give
+// 94-bit products, past what signed 64-bit arithmetic may hold (the
+// sanitizer build makes such an overflow fatal).  Pinned values, on both
+// engines.
+TEST(EngineConformance, MultiplyWrapsOnExtremeOperands) {
+  constexpr std::int64_t kMin = -(std::int64_t{1} << 47);  // -2^47
+  constexpr std::int64_t kMax = (std::int64_t{1} << 47) - 1;
+  isa::Program p = prog(
+      "  mul 2, 0, 1\n"  // -2^94 + 2^47: low 48 bits 2^47
+      "  mul 3, 0, 0\n"  // 2^94: low 48 bits 0
+      "  mul 4, 1, 1\n"  // 2^94 - 2^48 + 1: low 48 bits 1
+      "  macz 0, 1\n"    // acc = -2^94 + 2^47, wraps to 2^47
+      "  macr 5\n"
+      "  mac 1, 1\n"     // acc += 2^94 - 2^48 + 1, wraps to 1 - 2^47
+      "  macr 6\n"
+      "  mac 0, 0\n"     // acc += 2^94, wraps to +0
+      "  macr 7\n"
+      "  halt\n");
+  p.data.push_back(isa::DataPatch{0, from_signed(kMin)});
+  p.data.push_back(isa::DataPatch{1, from_signed(kMax)});
+  for (const EngineKind kind : kEngines) {
+    Fabric f(1, 1);
+    attach(f, kind);
+    f.tile(0).load_program(p);
     f.tile(0).restart();
-    f.tile(1).restart();
-    if (seed == 3) f.fail_link(0);  // one instance faults at the send
-  };
-
-  std::vector<Fabric> batch;
-  std::vector<Fabric> solo;
-  for (int i = 0; i < W; ++i) {
-    batch.emplace_back(1, 2);
-    solo.emplace_back(1, 2);
-    setup(batch.back(), i);
-    setup(solo.back(), i);
+    ASSERT_TRUE(f.run(100).ok()) << engine_name(kind);
+    const auto& t = f.tile(0);
+    EXPECT_EQ(t.dmem(2), Word{0x8000'0000'0000}) << engine_name(kind);
+    EXPECT_EQ(t.dmem(3), Word{0}) << engine_name(kind);
+    EXPECT_EQ(t.dmem(4), Word{1}) << engine_name(kind);
+    EXPECT_EQ(to_signed(t.dmem(5)), kMin) << engine_name(kind);
+    EXPECT_EQ(to_signed(t.dmem(6)), kMin + 1) << engine_name(kind);
+    EXPECT_EQ(to_signed(t.dmem(7)), kMin + 1) << engine_name(kind);
   }
-  std::vector<Fabric*> ptrs;
-  for (auto& f : batch) ptrs.push_back(&f);
-
-  BatchEngine engine(W);
-  const auto results = engine.run_batch(ptrs, 10'000);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(W));
-  for (int i = 0; i < W; ++i) {
-    const auto want = solo[static_cast<std::size_t>(i)].run_interpreter(10'000);
-    const std::string ctx = "batch instance " + std::to_string(i);
-    expect_same_result(results[static_cast<std::size_t>(i)], want, ctx);
-    expect_same_state(batch[static_cast<std::size_t>(i)],
-                      solo[static_cast<std::size_t>(i)], ctx);
-  }
-}
-
-TEST(BatchEngine, IsolatedModeMatchesInterpreterAcrossDivergentInstances) {
-  // No instance has a live link and no tracer is attached, so run_batch
-  // takes isolated mode (per-tile bursts plus closed-form idle
-  // accounting).  Instances diverge every way that path must handle:
-  // data-dependent countdowns under identical code (burst pc divergence),
-  // per-instance stall windows, a tile halted before the run, a dynamic
-  // fault, and a spinner that exhausts the budget.
-  constexpr int W = 6;
-  const auto setup = [](Fabric& f, int seed) {
-    // Identical code across instances; only the .data seed differs, so
-    // the lanes start converged and split at the bnez.
-    f.tile(0).load_program(prog(
-        "  .data 0, " + std::to_string(20 + 13 * seed) +
-        "\nloop:\n  sub 0, 0, #1\n  bnez 0, loop\n  halt\n"));
-    f.tile(0).restart();
-    f.tile(1).load_program(prog(
-        "  movi 3, #5\n  add 4, 3, #9\n  add 5, 4, 4\n  halt\n"));
-    if (seed != 4) f.tile(1).restart();  // seed 4: halted before the run
-    f.tile(2).load_program(
-        seed == 2 ? prog("  movi 0, #1\n  nop\n")  // runs off the end
-                  : prog("  .data 1, 30\n  mov 2, 1*\n  halt\n"));
-    f.tile(2).restart();
-    f.tile(2).stall_until(40 + seed);
-    f.tile(3).load_program(seed == 5 ? prog("spin:\n  jmp spin\n")
-                                     : prog("  movi 7, #3\n  halt\n"));
-    f.tile(3).restart();
-  };
-
-  std::vector<Fabric> batch;
-  std::vector<Fabric> solo;
-  batch.reserve(W);
-  solo.reserve(W);
-  std::vector<Fabric*> ptrs;
-  for (int i = 0; i < W; ++i) {
-    batch.emplace_back(2, 2);
-    solo.emplace_back(2, 2);
-    setup(batch.back(), i);
-    setup(solo.back(), i);
-    ptrs.push_back(&batch.back());
-  }
-  BatchEngine engine(W);
-  const auto results = engine.run_batch(ptrs, 3'000);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(W));
-  for (int i = 0; i < W; ++i) {
-    const std::size_t n = static_cast<std::size_t>(i);
-    const auto want = solo[n].run_interpreter(3'000);
-    const std::string ctx = "isolated instance " + std::to_string(i);
-    expect_same_result(results[n], want, ctx);
-    expect_same_state(batch[n], solo[n], ctx);
-    expect_stats_invariant(batch[n], ctx);
-  }
-}
-
-TEST(BatchEngine, MixedShapesFallBackToSequentialRuns) {
-  Fabric a(1, 2);
-  Fabric b(2, 2);  // different shape: lockstep impossible
-  Fabric ref_a(1, 2);
-  Fabric ref_b(2, 2);
-  wl_halt_1x2(a);
-  wl_halt_1x2(ref_a);
-  wl_halt(b);
-  wl_halt(ref_b);
-  Fabric* ptrs[] = {&a, &b};
-  BatchEngine engine(2);
-  const auto results = engine.run_batch(ptrs, 1'000);
-  expect_same_result(results[0], ref_a.run_interpreter(1'000), "fallback a");
-  expect_same_result(results[1], ref_b.run_interpreter(1'000), "fallback b");
-  expect_same_state(a, ref_a, "fallback a");
-  expect_same_state(b, ref_b, "fallback b");
 }
 
 // --- unit coverage ----------------------------------------------------------
@@ -613,25 +526,32 @@ TEST(Blocks, CoverageIsExactAndOrdered) {
 }
 
 TEST(EngineApi, SpecParsingRoundTrips) {
-  EXPECT_EQ(parse_engine_spec("interp")->kind, EngineKind::kInterp);
-  EXPECT_EQ(parse_engine_spec("threaded")->kind, EngineKind::kThreaded);
-  EXPECT_EQ(parse_engine_spec("batch")->kind, EngineKind::kBatch);
-  EXPECT_EQ(parse_engine_spec("batch")->batch_width, 8);
-  EXPECT_EQ(parse_engine_spec("batch:16")->batch_width, 16);
-  EXPECT_FALSE(parse_engine_spec("batch:0").has_value());
-  EXPECT_FALSE(parse_engine_spec("batch:x").has_value());
-  EXPECT_FALSE(parse_engine_spec("threaded:4").has_value());
-  EXPECT_FALSE(parse_engine_spec("simd").has_value());
   for (const EngineKind kind : kEngines) {
-    EngineOptions o;
-    o.kind = kind;
-    o.batch_width = 16;
-    EXPECT_EQ(parse_engine_spec(engine_spec(o))->kind, kind);
+    EXPECT_EQ(engine_from_name(engine_name(kind)), kind);
+  }
+  EXPECT_STREQ(engine_name(EngineKind::kInterp), "interp");
+  EXPECT_STREQ(engine_name(EngineKind::kThreaded), "threaded");
+  for (const char* bad : {"batch", "batch:16", "threaded:4", "simd", ""}) {
+    EXPECT_FALSE(engine_from_name(bad).has_value()) << bad;
+  }
+}
+
+TEST(EngineApi, EngineFlagRejectsUnknownNamesWithStatus2) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* flag : {"--engine=batch", "--engine=batch:16"}) {
+    char prog_name[] = "prog";
+    std::string arg = flag;
+    char* argv[] = {prog_name, arg.data(), nullptr};
+    int argc = 2;
+    EXPECT_EXIT(apply_engine_flag(&argc, argv), ::testing::ExitedWithCode(2),
+                "invalid --engine")
+        << flag;
   }
 }
 
 TEST(EngineApi, ProcessDefaultResolvesLazilyAndInterpClears) {
-  use_process_engine(EngineOptions{EngineKind::kThreaded, 8, 0});
+  const EngineKind saved = process_engine();
+  use_process_engine(EngineKind::kThreaded);
   Fabric f(1, 1);
   f.tile(0).load_program(prog("  movi 0, #3\n  halt\n"));
   f.tile(0).restart();
@@ -641,16 +561,18 @@ TEST(EngineApi, ProcessDefaultResolvesLazilyAndInterpClears) {
             EngineKind::kThreaded);
   EXPECT_EQ(to_signed(f.tile(0).dmem(0)), 3);
 
-  use_process_engine(EngineOptions{});  // back to interp for other tests
+  use_process_engine(EngineKind::kInterp);
   Fabric g(1, 1);
   g.tile(0).load_program(prog("  halt\n"));
   g.tile(0).restart();
   g.run(100);
   EXPECT_EQ(g.engine(), nullptr);
+  use_process_engine(saved);
 }
 
 TEST(EngineApi, AttachNullptrPinsInterpreterAgainstProcessDefault) {
-  use_process_engine(EngineOptions{EngineKind::kBatch, 4, 0});
+  const EngineKind saved = process_engine();
+  use_process_engine(EngineKind::kThreaded);
   Fabric f(1, 1);
   f.attach_engine(nullptr);
   f.tile(0).load_program(prog("  movi 0, #9\n  halt\n"));
@@ -658,7 +580,7 @@ TEST(EngineApi, AttachNullptrPinsInterpreterAgainstProcessDefault) {
   f.run(100);
   EXPECT_EQ(f.engine(), nullptr);
   EXPECT_EQ(to_signed(f.tile(0).dmem(0)), 9);
-  use_process_engine(EngineOptions{});
+  use_process_engine(saved);
 }
 
 // --- randomized differential fuzz ------------------------------------------
@@ -699,9 +621,8 @@ TEST(EngineFuzz, DifferentialAcrossAllEnginesOn64RandomPrograms) {
   for (int iter = 0; iter < 64; ++iter) {
     isa::Program programs[4];
     for (auto& p : programs) p = random_program(rng);
-    // Odd iterations run linkless: no tile can interact, which sends the
-    // batch engine down its isolated-mode path instead of the lockstep
-    // sweep (remote-flagged writes then fault with kNoActiveLink).
+    // Odd iterations run linkless: no tile can interact, so
+    // remote-flagged writes fault with kNoActiveLink.
     const bool linked = (iter % 2) == 0;
     const auto setup = [&programs, linked](Fabric& f) {
       if (linked) {
@@ -721,37 +642,13 @@ TEST(EngineFuzz, DifferentialAcrossAllEnginesOn64RandomPrograms) {
     const auto want = ref.run(2'000);
     expect_stats_invariant(ref, "fuzz ref " + std::to_string(iter));
 
-    for (const EngineKind kind : {EngineKind::kThreaded, EngineKind::kBatch}) {
-      Fabric f(2, 2);
-      attach(f, kind);
-      setup(f);
-      const auto got = f.run(2'000);
-      const std::string ctx = "fuzz " + std::to_string(iter) + " on " +
-                              engine_name(kind);
-      expect_same_result(got, want, ctx);
-      expect_same_state(f, ref, ctx);
-    }
-
-    // The same setup three-wide through one run_batch call: the uniform
-    // multi-instance sweep (linked iterations) and multi-instance
-    // isolated bursts (linkless ones) against the same reference.
-    constexpr int kW = 3;
-    std::vector<Fabric> lanes;
-    lanes.reserve(kW);
-    std::vector<Fabric*> ptrs;
-    for (int i = 0; i < kW; ++i) {
-      auto& f = lanes.emplace_back(2, 2);
-      setup(f);
-      ptrs.push_back(&f);
-    }
-    BatchEngine be(kW);
-    const auto results = be.run_batch(ptrs, 2'000);
-    for (int i = 0; i < kW; ++i) {
-      const std::string ctx = "fuzz batch " + std::to_string(iter) +
-                              " lane " + std::to_string(i);
-      expect_same_result(results[static_cast<std::size_t>(i)], want, ctx);
-      expect_same_state(lanes[static_cast<std::size_t>(i)], ref, ctx);
-    }
+    Fabric f(2, 2);
+    attach(f, EngineKind::kThreaded);
+    setup(f);
+    const auto got = f.run(2'000);
+    const std::string ctx = "fuzz " + std::to_string(iter);
+    expect_same_result(got, want, ctx);
+    expect_same_state(f, ref, ctx);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "cgra/engine.hpp"
 #include "cgra/service.hpp"
 
 namespace cgra::service {
@@ -388,20 +389,20 @@ TEST(Service, InvalidRequestsReportStatusNotCrash) {
   }
 }
 
-// ServiceOptions::engine: the same jobs produce bit-identical payloads on
-// every execution engine (the fabrics behind the pool differ only in HOW
-// they step, never in what they compute).  Jobs are submitted one at a
-// time so each is its own batch.
+// The same jobs produce bit-identical payloads on both execution engines
+// (the fabrics behind the pool differ only in HOW they step, never in what
+// they compute).  The engine is the process default, which a fresh
+// service's pooled fabrics resolve on their first run.  Jobs are submitted
+// one at a time so each is its own batch.
 TEST(Service, ResultsBitIdenticalAcrossEngines) {
   const auto quant = jpeg::scaled_quant(75);
+  const engine::EngineKind saved = engine::process_engine();
 
   std::vector<JpegBlockJobResult> want;
   for (const auto kind :
-       {engine::EngineKind::kInterp, engine::EngineKind::kThreaded,
-        engine::EngineKind::kBatch}) {
-    ServiceOptions opt{.workers = 1};
-    opt.engine = engine::EngineOptions{kind, 4, 0};
-    Service svc(opt);
+       {engine::EngineKind::kInterp, engine::EngineKind::kThreaded}) {
+    engine::use_process_engine(kind);
+    Service svc(ServiceOptions{.workers = 1});
     for (int i = 0; i < 4; ++i) {
       JpegBlockRequest req;
       req.raw = test_block(i);
@@ -422,6 +423,7 @@ TEST(Service, ResultsBitIdenticalAcrossEngines) {
       }
     }
   }
+  engine::use_process_engine(saved);
 }
 
 }  // namespace

@@ -1,27 +1,18 @@
 // Sweep driver tests: deterministic result ordering, identical output for
-// 1 vs N lanes and for every execution engine, exception propagation,
-// reuse across jobs, and the one-PR deprecated SweepPool shims.
+// 1 vs N lanes, exception propagation and reuse across jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
 
 #include "apps/jpeg/process_table.hpp"
 #include "dse/sweep.hpp"
-#include "isa/assembler.hpp"
 
 namespace cgra::dse {
 namespace {
 
-engine::EngineOptions lanes_only(int lanes) {
-  engine::EngineOptions o;
-  o.threads = lanes;
-  return o;
-}
-
 TEST(Sweep, MapReturnsResultsInCandidateOrder) {
-  Sweep pool(lanes_only(4));
+  Sweep pool(4);
   EXPECT_EQ(pool.lanes(), 4);
   const auto out = pool.map<int>(100, [](int i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
@@ -31,7 +22,7 @@ TEST(Sweep, MapReturnsResultsInCandidateOrder) {
 }
 
 TEST(Sweep, EveryCandidateRunsExactlyOnce) {
-  Sweep pool(lanes_only(3));
+  Sweep pool(3);
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(257, [&](int i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
@@ -40,14 +31,14 @@ TEST(Sweep, EveryCandidateRunsExactlyOnce) {
 }
 
 TEST(Sweep, SingleLaneRunsInline) {
-  Sweep pool(lanes_only(1));
+  Sweep pool(1);
   EXPECT_EQ(pool.lanes(), 1);
   const auto out = pool.map<int>(5, [](int i) { return i + 1; });
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(Sweep, ExceptionPropagatesAfterAllCandidatesFinish) {
-  Sweep pool(lanes_only(4));
+  Sweep pool(4);
   std::atomic<int> ran{0};
   EXPECT_THROW(pool.parallel_for(20,
                                  [&](int i) {
@@ -61,7 +52,7 @@ TEST(Sweep, ExceptionPropagatesAfterAllCandidatesFinish) {
 }
 
 TEST(Sweep, PoolIsReusableAcrossJobs) {
-  Sweep pool(lanes_only(2));
+  Sweep pool(2);
   for (int round = 0; round < 50; ++round) {
     const auto out = pool.map<int>(8, [&](int i) { return i + round; });
     for (int i = 0; i < 8; ++i) {
@@ -78,8 +69,8 @@ TEST(SweepDeterminism, RebalanceSweepIdenticalForOneAndManyLanes) {
   const auto serial =
       mapping::sweep(net, kMaxTiles, mapping::RebalanceAlgorithm::kTwo,
                      params);
-  Sweep one(lanes_only(1));
-  Sweep many(lanes_only(4));
+  Sweep one(1);
+  Sweep many(4);
   const auto p1 = one.rebalance_sweep(net, kMaxTiles,
                                       mapping::RebalanceAlgorithm::kTwo,
                                       params);
@@ -119,8 +110,8 @@ TEST(SweepDeterminism, RebalanceSweepIdenticalForOneAndManyLanes) {
 TEST(SweepDeterminism, MeasuredProcessTimesIdenticalForOneAndManyLanes) {
   const auto g = fft::make_geometry(64);
   const auto serial = measure_process_times(g);
-  Sweep one(lanes_only(1));
-  Sweep many(lanes_only(4));
+  Sweep one(1);
+  Sweep many(4);
   const auto p1 = one.measure_process_times(g);
   const auto pn = many.measure_process_times(g);
   for (const auto* p : {&p1, &pn}) {
@@ -133,72 +124,6 @@ TEST(SweepDeterminism, MeasuredProcessTimesIdenticalForOneAndManyLanes) {
   }
 }
 
-// run_fabrics must produce bit-identical results for every engine kind,
-// lane count and batch width — including a population whose instances halt
-// at different cycles and one that faults.
-TEST(SweepDeterminism, RunFabricsIdenticalAcrossEnginesAndBatchWidths) {
-  constexpr int kN = 7;
-  const auto setup = [](fabric::Fabric& f, int i) {
-    auto r = isa::assemble(
-        "  movi 1, #" + std::to_string(10 + 13 * i) +
-        "\n  movi 2, #0\n"
-        "loop:\n  add 2, 2, 1\n  sub 1, 1, #1\n  bnez 1, loop\n" +
-        std::string(i == 5 ? "  mov !0, 2\n" : "") +  // no link: faults
-        "  halt\n");
-    ASSERT_TRUE(r.ok());
-    f.tile(0).load_program(r.program);
-    f.tile(0).restart();
-  };
-
-  std::vector<fabric::Fabric> ref_storage;
-  ref_storage.reserve(kN);
-  std::vector<fabric::RunResult> want;
-  for (int i = 0; i < kN; ++i) {
-    ref_storage.emplace_back(1, 2);
-    setup(ref_storage.back(), i);
-    want.push_back(ref_storage.back().run_interpreter(10'000));
-  }
-
-  const engine::EngineOptions configs[] = {
-      {engine::EngineKind::kInterp, 8, 1},
-      {engine::EngineKind::kInterp, 8, 4},
-      {engine::EngineKind::kThreaded, 8, 3},
-      {engine::EngineKind::kBatch, 1, 2},   // degenerate groups of one
-      {engine::EngineKind::kBatch, 3, 2},   // uneven tail group
-      {engine::EngineKind::kBatch, 16, 1},  // one group holds everything
-  };
-  for (const auto& cfg : configs) {
-    std::vector<fabric::Fabric> storage;
-    storage.reserve(kN);  // ptrs point into storage: no reallocation allowed
-    std::vector<fabric::Fabric*> ptrs;
-    for (int i = 0; i < kN; ++i) {
-      storage.emplace_back(1, 2);
-      setup(storage.back(), i);
-      ptrs.push_back(&storage.back());
-    }
-    Sweep sweep(cfg);
-    const auto got = sweep.run_fabrics(ptrs, 10'000);
-    const std::string ctx = engine::engine_spec(cfg) + " lanes " +
-                            std::to_string(cfg.threads);
-    ASSERT_EQ(got.size(), want.size()) << ctx;
-    for (int i = 0; i < kN; ++i) {
-      const auto& g = got[static_cast<std::size_t>(i)];
-      const auto& w = want[static_cast<std::size_t>(i)];
-      const std::string ic = ctx + " instance " + std::to_string(i);
-      EXPECT_EQ(g.cycles, w.cycles) << ic;
-      EXPECT_EQ(g.all_halted, w.all_halted) << ic;
-      ASSERT_EQ(g.faults.size(), w.faults.size()) << ic;
-      const auto& f = storage[static_cast<std::size_t>(i)];
-      const auto& rf = ref_storage[static_cast<std::size_t>(i)];
-      EXPECT_EQ(f.now(), rf.now()) << ic;
-      EXPECT_EQ(f.tile(0).dmem(2), rf.tile(0).dmem(2)) << ic;
-      EXPECT_EQ(f.tile(0).stats().instructions,
-                rf.tile(0).stats().instructions)
-          << ic;
-    }
-  }
-}
-
 // Mapper-driven placements as sweep candidates: each budget maps
 // independently, so results are positional and lane-count independent.
 TEST(Sweep, MapperSweepIsDeterministicAcrossLaneCounts) {
@@ -206,10 +131,10 @@ TEST(Sweep, MapperSweepIsDeterministicAcrossLaneCounts) {
   const std::vector<int> budgets = {1, 2, 4};
   std::vector<MapperSweepPoint> want;
   {
-    Sweep serial(engine::EngineOptions{engine::EngineKind::kInterp, 8, 1});
+    Sweep serial(1);
     want = serial.mapper_sweep(net, 4, 4, budgets);
   }
-  Sweep pool(engine::EngineOptions{engine::EngineKind::kInterp, 8, 4});
+  Sweep pool(4);
   const auto got = pool.mapper_sweep(net, 4, 4, budgets);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
