@@ -401,18 +401,8 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
   };
 
   auto run_epoch = [&](const EpochConfig& epoch) -> bool {
-    const auto report = ctrl.apply(fab, epoch);
-    timeline.reconfig_ns += report.total_ns();
-    timeline.transitions.push_back(report);
-    const Nanoseconds epoch_start_ns = cycles_to_ns(fab.now());
-    const auto run = fab.run(opt.max_cycles_per_epoch);
-    timeline.epoch_compute_ns += run.elapsed_ns();
-    timeline.epoch_cycles.push_back(run.cycles);
-    if (opt.spans != nullptr) {
-      opt.spans->complete(epoch.name, "epoch", obs::kTrackEpochs,
-                          epoch_start_ns, run.elapsed_ns(),
-                          {{"cycles", std::to_string(run.cycles), true}});
-    }
+    const auto run = config::run_epoch(fab, ctrl, epoch,
+                                       opt.max_cycles_per_epoch, timeline);
     ++result.epochs;
     if (!run.ok()) {
       result.faults = run.faults;

@@ -177,6 +177,32 @@ std::vector<isa::DataPatch> recip_patches(const JpegLayout& lay,
   }
   return out;
 }
+
+/// The 1x4 pipeline's content: each stage runs `prologue`, computes in
+/// place, then streams X (or T for the zigzag gather) to its successor's
+/// `dst_base` block.
+JpegPipelineArtifacts pipeline_artifacts(const std::array<int, 64>& quant,
+                                         const std::string& prologue,
+                                         int dst_base) {
+  const JpegLayout lay;
+  const std::string srcs[4] = {
+      prologue + strip_halt(shift_source(lay)) +
+          send_block_source(lay, lay.x, dst_base),
+      prologue + strip_halt(dct_source(lay)) +
+          send_block_source(lay, lay.x, dst_base),
+      prologue + strip_halt(quantize_source(lay)) +
+          send_block_source(lay, lay.x, dst_base),
+      prologue + zigzag_source(lay),
+  };
+  JpegPipelineArtifacts art;
+  for (int t = 0; t < 4; ++t) {
+    art.stage_programs[static_cast<std::size_t>(t)] =
+        must_assemble(srcs[static_cast<std::size_t>(t)]);
+  }
+  art.basis = basis_patches(lay);
+  art.recips = recip_patches(lay, quant);
+  return art;
+}
 }  // namespace
 
 JpegKernelCycles measure_jpeg_kernels() {
@@ -198,23 +224,7 @@ JpegKernelCycles measure_jpeg_kernels() {
 
 JpegPipelineArtifacts make_pipeline_artifacts(
     const std::array<int, 64>& quant) {
-  const JpegLayout lay;
-  JpegPipelineArtifacts art;
-  // Stage programs: each computes in place, then streams X (or T for the
-  // zigzag gather) to the next tile.
-  const std::string srcs[4] = {
-      strip_halt(shift_source(lay)) + send_block_source(lay, lay.x),
-      strip_halt(dct_source(lay)) + send_block_source(lay, lay.x),
-      strip_halt(quantize_source(lay)) + send_block_source(lay, lay.x),
-      zigzag_source(lay),
-  };
-  for (int t = 0; t < 4; ++t) {
-    art.stage_programs[static_cast<std::size_t>(t)] =
-        must_assemble(srcs[static_cast<std::size_t>(t)]);
-  }
-  art.basis = basis_patches(lay);
-  art.recips = recip_patches(lay, quant);
-  return art;
+  return pipeline_artifacts(quant, "", JpegLayout{}.x);
 }
 
 BlockPipeline::BlockPipeline(fabric::Fabric& fab,
@@ -237,13 +247,20 @@ BlockPipeline::BlockPipeline(fabric::Fabric& fab,
     config::TileUpdate update;
     update.program = art.stage_programs[static_cast<std::size_t>(t)];
     update.reload_program = true;
-    update.restart = false;  // started per stage in encode()
+    update.restart = false;  // per stage in encode(), per stream beat
     if (t == 1) update.patches = art.basis;
     if (t == 2) update.patches = art.recips;
     setup.tiles[t] = std::move(update);
   }
   const auto report = ctrl.apply(fab_, setup);
   setup_ns_ = report.total_ns();
+  for (int t = 0; t < 4; ++t) {
+    const auto& prog = art.stage_programs[static_cast<std::size_t>(t)];
+    if (fab_.tile(t).code_size() != static_cast<int>(prog.code.size())) {
+      setup_ = Status::errorf("stage %d program does not fit the tile", t);
+      return;
+    }
+  }
   // The setup epoch owns its ICAP stall: wait it out here so that every
   // encode(), the first included, runs on an already configured pipeline.
   fab_.idle_until(report.complete_cycle);
@@ -578,53 +595,21 @@ FabricStreamResult encode_blocks_on_fabric_stream(
   const JpegLayout lay;
   constexpr int kStages = 4;
 
-  // Inbox prologue: copy the double-buffered P inbox into X.
+  // Every stage first copies the double-buffered P inbox into X, and
+  // sends its block to its successor's inbox.  BlockPipeline pays the
+  // one ICAP setup epoch and waits out its stall before the first beat.
   std::vector<std::pair<int, int>> inbox_moves;
   inbox_moves.reserve(64);
   for (int i = 0; i < 64; ++i) inbox_moves.emplace_back(lay.p + i, lay.x + i);
   const std::string prologue =
       strip_halt(fft::copy_straight_source(inbox_moves, /*remote=*/false));
-
-  const std::string srcs[kStages] = {
-      prologue + strip_halt(shift_source(lay)) +
-          send_block_source(lay, lay.x, lay.p),
-      prologue + strip_halt(dct_source(lay)) +
-          send_block_source(lay, lay.x, lay.p),
-      prologue + strip_halt(quantize_source(lay)) +
-          send_block_source(lay, lay.x, lay.p),
-      prologue + zigzag_source(lay),
-  };
-
-  // One setup epoch through the ICAP (programs + constant tables), as in
-  // BlockPipeline; its stall is waited out before the first beat.
   fabric::Fabric fab(1, kStages);
-  config::ReconfigController ctrl(IcapModel{}, interconnect::LinkCostModel{});
-  config::EpochConfig setup;
-  setup.name = "jpeg-stream-setup";
-  setup.links = interconnect::LinkConfig(1, kStages);
-  for (int t = 0; t + 1 < kStages; ++t) {
-    setup.links.set_output(t, Direction::kEast);
+  const BlockPipeline pipeline(fab, pipeline_artifacts(quant, prologue, lay.p));
+  result.setup_reconfig_ns = pipeline.setup_reconfig_ns();
+  if (!pipeline.setup_status().ok()) {
+    result.status = pipeline.setup_status();
+    return result;
   }
-  for (int t = 0; t < kStages; ++t) {
-    config::TileUpdate update;
-    update.program = must_assemble(srcs[static_cast<std::size_t>(t)]);
-    update.reload_program = true;
-    update.restart = false;  // restarted per beat below
-    if (t == 1) update.patches = basis_patches(lay);
-    if (t == 2) update.patches = recip_patches(lay, quant);
-    setup.tiles[t] = std::move(update);
-  }
-  const auto report = ctrl.apply(fab, setup);
-  result.setup_reconfig_ns = report.total_ns();
-  for (int t = 0; t < kStages; ++t) {
-    const auto& prog = setup.tiles.at(t).program;
-    if (fab.tile(t).code_size() != static_cast<int>(prog.code.size())) {
-      // Cannot happen (program sizes are asserted in tests).
-      result.status = Status::errorf("stage %d program too large", t);
-      return result;
-    }
-  }
-  fab.idle_until(report.complete_cycle);
 
   // Beats: in beat b tile t works on block b - t.  The pipe drains after
   // blocks.size() + kStages - 1 beats.

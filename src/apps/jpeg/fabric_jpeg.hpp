@@ -131,7 +131,8 @@ JpegPipelineArtifacts make_pipeline_artifacts(const std::array<int, 64>& quant);
 class BlockPipeline {
  public:
   /// `fab` must be a 1x4 mesh in construction state (fresh or reset());
-  /// not owned.  Check setup_status() before encoding.
+  /// not owned.  Check setup_status() before encoding: it reports a wrong
+  /// mesh or a stage program that does not fit its tile.
   BlockPipeline(fabric::Fabric& fab, const JpegPipelineArtifacts& art);
 
   [[nodiscard]] const Status& setup_status() const noexcept { return setup_; }

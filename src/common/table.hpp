@@ -1,7 +1,7 @@
 // Minimal fixed-width table printer for benchmark harnesses.
 //
-// Every bench binary regenerates one of the paper's tables/figures as text;
-// this helper keeps their output aligned and uniform.
+// paper_report regenerates the paper's tables and figures as text, and the
+// perf benches print theirs; this helper keeps them aligned and uniform.
 #pragma once
 
 #include <string>

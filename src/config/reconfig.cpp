@@ -225,25 +225,32 @@ TransitionReport ReconfigController::scrub_tile(fabric::Fabric& fabric,
   return report;
 }
 
+fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
+                            const EpochConfig& epoch, std::int64_t max_cycles,
+                            Timeline& timeline) {
+  const TransitionReport report = ctrl.apply(fabric, epoch);
+  timeline.reconfig_ns += report.total_ns();
+  timeline.transitions.push_back(report);
+
+  const Nanoseconds epoch_start_ns = cycles_to_ns(fabric.now());
+  fabric::RunResult run = fabric.run(max_cycles);
+  timeline.epoch_compute_ns += run.elapsed_ns();
+  timeline.epoch_cycles.push_back(run.cycles);
+  if (obs::SpanTimeline* spans = ctrl.timeline(); spans != nullptr) {
+    spans->complete(epoch.name, "epoch", obs::kTrackEpochs, epoch_start_ns,
+                    run.elapsed_ns(),
+                    {{"cycles", std::to_string(run.cycles), true}});
+  }
+  return run;
+}
+
 ScheduleResult run_schedule(fabric::Fabric& fabric, ReconfigController& ctrl,
                             const std::vector<EpochConfig>& epochs,
                             std::int64_t max_cycles_per_epoch) {
   ScheduleResult result;
-  obs::SpanTimeline* spans = ctrl.timeline();
   for (const auto& epoch : epochs) {
-    const TransitionReport report = ctrl.apply(fabric, epoch);
-    result.timeline.reconfig_ns += report.total_ns();
-    result.timeline.transitions.push_back(report);
-
-    const Nanoseconds epoch_start_ns = cycles_to_ns(fabric.now());
-    const fabric::RunResult run = fabric.run(max_cycles_per_epoch);
-    result.timeline.epoch_compute_ns += run.elapsed_ns();
-    result.timeline.epoch_cycles.push_back(run.cycles);
-    if (spans != nullptr) {
-      spans->complete(epoch.name, "epoch", obs::kTrackEpochs, epoch_start_ns,
-                      run.elapsed_ns(),
-                      {{"cycles", std::to_string(run.cycles), true}});
-    }
+    const fabric::RunResult run =
+        run_epoch(fabric, ctrl, epoch, max_cycles_per_epoch, result.timeline);
     if (!run.faults.empty()) {
       result.faults.insert(result.faults.end(), run.faults.begin(),
                            run.faults.end());

@@ -91,8 +91,7 @@ struct Timeline {
   Nanoseconds reconfig_ns = 0.0;       ///< Analytic term B (links + ICAP).
   std::vector<TransitionReport> transitions;
   /// Executed cycles of each epoch, parallel to `transitions` (filled by
-  /// run_schedule and the epoch-pipeline app drivers; the profiler uses it
-  /// for per-epoch drift bucketing).
+  /// run_epoch; the profiler uses it for per-epoch drift bucketing).
   std::vector<std::int64_t> epoch_cycles;
 
   /// Executed wall time of the whole schedule.
@@ -120,7 +119,7 @@ class ReconfigController {
   ///   reconfiguration.  With `partial_reconfiguration = false` the
   ///   controller instead stalls the whole array for the duration of the
   ///   transition (the single-context baseline the paper argues against);
-  ///   the ablation bench quantifies the difference.
+  ///   paper_report's overlap ablation quantifies the difference.
   /// * With fault options armed, each payload may be corrupted in flight,
   ///   verified by readback, and re-streamed up to the retry bound; an
   ///   exhausted bound latches kIcapCorruption on the tile.
@@ -166,6 +165,15 @@ class ReconfigController {
   IcapFaultOptions fault_options_;
   obs::SpanTimeline* spans_ = nullptr;
 };
+
+/// One epoch: apply `epoch` to `fabric`, run until every tile halts or
+/// `max_cycles` elapse, and account both in `timeline` (the transition
+/// report and its term-B cost, the executed time and cycles).  With a
+/// span timeline attached to `ctrl`, the epoch's span is recorded too.
+/// run_schedule and fft::run_fabric_fft step through this.
+fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
+                            const EpochConfig& epoch, std::int64_t max_cycles,
+                            Timeline& timeline);
 
 /// Convenience driver: run a sequence of epochs to completion on a fabric,
 /// applying transitions between them and accumulating the Equation-1 terms.

@@ -63,8 +63,11 @@ void Sweep::worker_loop() {
       seen = epoch_;
       job = job_;
       n = job_n_;
+      ++draining_;
     }
     drain(job, n);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--draining_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -89,7 +92,9 @@ void Sweep::parallel_for(int n, const std::function<void(int)>& fn) {
   std::exception_ptr err;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] { return done_ == job_n_; });
+    // Also wait for every worker to leave drain(): one still inside would
+    // claim an index of the next job from next_ against this job's `fn`.
+    done_cv_.wait(lk, [&] { return done_ == job_n_ && draining_ == 0; });
     job_ = nullptr;  // workers waking late see no job and keep waiting
     err = error_;
     error_ = nullptr;

@@ -105,6 +105,7 @@ class Sweep {
   int job_n_ = 0;
   std::atomic<int> next_{0};  ///< Next unclaimed candidate index.
   int done_ = 0;              ///< Completed candidates of the current job.
+  int draining_ = 0;          ///< Workers inside drain() for the current job.
   std::uint64_t epoch_ = 0;   ///< Job generation counter.
   bool stop_ = false;
   std::exception_ptr error_;

@@ -242,8 +242,7 @@ Status Client::call(const service::JobRequest& job, Response* out,
                     const CallOptions& options) {
   const std::uint64_t id = next_id_++;
   obs::TraceContext ctx = options.trace;
-  if (!ctx.valid() && opt_.tracer != nullptr &&
-      opt_.protocol_version >= 3) {
+  if (!ctx.valid() && opt_.tracer != nullptr) {
     ctx = opt_.tracer->make_context();
   }
   std::vector<std::uint8_t> frame;
@@ -251,7 +250,6 @@ Status Client::call(const service::JobRequest& job, Response* out,
   wire.deadline_ms = options.deadline_ms;
   wire.idempotency_id = options.idempotency_id;
   wire.trace = ctx;
-  wire.version = opt_.protocol_version;
   const Status enc = encode_job_request(id, job, &frame, wire);
   if (!enc.ok()) return enc;
   const Nanoseconds t0 = obs::trace_clock_ns();
@@ -333,7 +331,6 @@ Status Client::send(const service::JobRequest& job, std::uint64_t* request_id,
   wire.deadline_ms = options.deadline_ms;
   wire.idempotency_id = options.idempotency_id;
   wire.trace = options.trace;
-  wire.version = opt_.protocol_version;
   const Status enc = encode_job_request(id, job, &frame, wire);
   if (!enc.ok()) return enc;
   if (const auto d = chaos::decide(opt_.chaos, chaos::Hook::kClientFrame)) {

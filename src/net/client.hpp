@@ -57,13 +57,9 @@ struct ClientOptions {
   /// around the round-trip, and logs retry / breaker-open flight
   /// events.  Not owned, must outlive the client; null = untraced.
   obs::Tracer* tracer = nullptr;
-  /// Version stamped on job frames (kMinVersion..kVersion).  v2 omits
-  /// the trace context — the compatibility knob the mixed-version tests
-  /// exercise.
-  std::uint8_t protocol_version = kVersion;
 };
 
-/// Per-call robustness options (wire fields of protocol v2 job frames).
+/// Per-call robustness options (wire fields of job frames).
 struct CallOptions {
   /// Milliseconds the caller will wait; propagated end to end and
   /// enforced by the server at queue admission and epoch boundaries.
@@ -71,8 +67,8 @@ struct CallOptions {
   /// Non-zero marks the request idempotent: the server deduplicates
   /// repeats of the same id, so post-send retries are safe.
   std::uint64_t idempotency_id = 0;
-  /// Explicit trace identity to propagate (v3 frames).  Invalid (the
-  /// default) lets call() mint one from ClientOptions::tracer.
+  /// Explicit trace identity to propagate.  Invalid (the default) lets
+  /// call() mint one from ClientOptions::tracer.
   obs::TraceContext trace;
 };
 

@@ -419,7 +419,7 @@ bool msg_type_is_job(MsgType type) noexcept {
 void encode_header(const FrameHeader& header, std::uint8_t out[kHeaderSize]) {
   const std::uint32_t magic = kMagic;
   std::memcpy(out, &magic, 4);  // little-endian on every supported target
-  out[4] = header.version;
+  out[4] = kVersion;
   out[5] = static_cast<std::uint8_t>(header.type);
   out[6] = 0;
   out[7] = 0;
@@ -440,9 +440,9 @@ Status decode_header(std::span<const std::uint8_t> bytes, FrameHeader* out) {
   if (magic != kMagic) {
     return Status::errorf("bad frame magic 0x%08x", magic);
   }
-  if (bytes[4] < kMinVersion || bytes[4] > kVersion) {
-    return Status::errorf("unsupported protocol version %u (speaking %u..%u)",
-                          bytes[4], kMinVersion, kVersion);
+  if (bytes[4] != kVersion) {
+    return Status::errorf("unsupported protocol version %u (speaking %u)",
+                          bytes[4], kVersion);
   }
   const std::uint8_t raw_type = bytes[5];
   const auto type = static_cast<MsgType>(raw_type);
@@ -460,7 +460,6 @@ Status decode_header(std::span<const std::uint8_t> bytes, FrameHeader* out) {
     return Status::errorf("payload length %u exceeds the %u-byte bound", len,
                           kMaxPayload);
   }
-  out->version = bytes[4];
   out->type = type;
   out->payload_len = len;
   return Status();
@@ -569,32 +568,19 @@ std::vector<std::uint8_t> encode_trace_dump_result(std::uint64_t request_id,
   return seal(MsgType::kTraceDumpResult, std::move(buf));
 }
 
-void stamp_frame_version(std::vector<std::uint8_t>* frame,
-                         std::uint8_t version) {
-  if (frame == nullptr || frame->size() < kHeaderSize) return;
-  if (version < kMinVersion || version > kVersion) return;
-  (*frame)[4] = version;
-}
-
 // --- job request encoder -------------------------------------------------
 
 Status encode_job_request(std::uint64_t request_id,
                           const service::JobRequest& job,
                           std::vector<std::uint8_t>* out,
                           const JobFrameOptions& options) {
-  if (options.version < kMinVersion || options.version > kVersion) {
-    return Status::errorf("cannot encode protocol version %u (speaking %u..%u)",
-                          options.version, kMinVersion, kVersion);
-  }
   auto buf = begin_frame();
   Writer w(&buf);
   w.u64(request_id);
   w.u32(options.deadline_ms);
   w.u64(options.idempotency_id);
-  if (options.version >= 3) {
-    w.u64(options.trace.trace_id);
-    w.u64(options.trace.parent_span_id);
-  }
+  w.u64(options.trace.trace_id);
+  w.u64(options.trace.parent_span_id);
   MsgType type;
   switch (job.index()) {
     case 0: {
@@ -662,7 +648,6 @@ Status encode_job_request(std::uint64_t request_id,
                           buf.size() - kHeaderSize, kMaxPayload);
   }
   *out = seal(type, std::move(buf));
-  stamp_frame_version(out, options.version);
   return Status();
 }
 
@@ -750,11 +735,8 @@ Status decode_request(const Frame& frame, Request* out) {
   if (msg_type_is_job(frame.header.type)) {
     out->options.deadline_ms = r.u32();
     out->options.idempotency_id = r.u64();
-    out->options.version = frame.header.version;
-    if (frame.header.version >= 3) {
-      out->options.trace.trace_id = r.u64();
-      out->options.trace.parent_span_id = r.u64();
-    }
+    out->options.trace.trace_id = r.u64();
+    out->options.trace.parent_span_id = r.u64();
   }
   switch (frame.header.type) {
     case MsgType::kPing:

@@ -15,22 +15,17 @@
 // echoed verbatim in the matching response, so a connection can pipeline
 // requests and still pair replies (replies arrive in request order).
 //
-// Version 2 adds the robustness fields: job request payloads carry a
-// u32 deadline (milliseconds the client is willing to wait; 0 = none)
-// and a u64 idempotency id (0 = none) right after the request id, kError
+// Job request payloads carry, right after the request id, a u32 deadline
+// (milliseconds the client is willing to wait; 0 = none), a u64
+// idempotency id (0 = none) and a 128-bit trace context (u64 trace id +
+// u64 parent span id, client-generated, zero = untraced).  kError
 // payloads lead with a StatusCode byte so clients can distinguish
 // "unavailable, retry later" from "deadline exceeded" without string
 // matching, and kHealth/kHealthResult report server readiness for
-// load-shed-aware clients.
-//
-// Version 3 adds wire tracing: job payloads carry a 128-bit trace
-// context (u64 trace id + u64 parent span id, client-generated, zero =
-// untraced) right after the idempotency id, and kTraceDump /
-// kTraceDumpResult frames pull the server's merged trace JSON and
-// flight-recorder anomaly summary live (docs/OBSERVABILITY.md, "Wire
-// tracing").  Decoders accept kMinVersion..kVersion and read the trace
-// fields only from v3 frames; the server echoes the request's version
-// on its replies so v2 clients keep working unchanged.
+// load-shed-aware clients.  kTraceDump / kTraceDumpResult frames pull the
+// server's merged trace JSON and flight-recorder anomaly summary live
+// (docs/OBSERVABILITY.md, "Wire tracing").  Decoders accept kVersion only;
+// a frame of any other version is rejected like a bad magic.
 //
 // Request payloads mirror cgra::service::JobRequest — JPEG block (plain
 // or resilient, fault plan and recovery policy travel in the frame),
@@ -66,8 +61,6 @@ namespace cgra::net {
 
 inline constexpr std::uint32_t kMagic = 0x43475241u;
 inline constexpr std::uint8_t kVersion = 3;
-/// Oldest version still decoded; v2 peers see identical behaviour.
-inline constexpr std::uint8_t kMinVersion = 2;
 inline constexpr std::size_t kHeaderSize = 12;
 /// Hard bound on a frame payload; frames claiming more are rejected
 /// before any allocation happens.
@@ -118,9 +111,8 @@ inline constexpr std::uint8_t kResponseOffset = 64;
 /// cancel) — the ones the per-connection in-flight cap counts.
 [[nodiscard]] bool msg_type_is_job(MsgType type) noexcept;
 
-/// Decoded frame header.
+/// Decoded frame header (the version byte is always kVersion).
 struct FrameHeader {
-  std::uint8_t version = kVersion;
   MsgType type = MsgType::kPing;
   std::uint32_t payload_len = 0;
 };
@@ -146,10 +138,8 @@ struct JobFrameOptions {
   std::uint32_t deadline_ms = 0;     ///< 0 = no deadline.
   std::uint64_t idempotency_id = 0;  ///< 0 = not idempotent (never retried
                                      ///< after the frame may have been sent).
-  obs::TraceContext trace;           ///< v3: propagated trace identity
+  obs::TraceContext trace;           ///< Propagated trace identity
                                      ///< (trace_id 0 = untraced).
-  std::uint8_t version = kVersion;   ///< Wire version to speak; the trace
-                                     ///< context is omitted below v3.
 };
 
 /// Server-side view of any request frame.
@@ -232,12 +222,6 @@ struct Response {
 /// longer parses — dump earlier / cap the tracer rather than rely on it).
 [[nodiscard]] std::vector<std::uint8_t> encode_trace_dump_result(
     std::uint64_t request_id, const TraceDumpInfo& info);
-
-/// Re-stamp an encoded frame's version byte (reply version echo: the
-/// server answers a v2 request with v2 frames).  No-op outside
-/// kMinVersion..kVersion or on short buffers.
-void stamp_frame_version(std::vector<std::uint8_t>* frame,
-                         std::uint8_t version);
 
 /// Encode a job request; fails when the request exceeds protocol bounds
 /// (e.g. an image larger than kMaxPayload).

@@ -89,8 +89,7 @@ struct Server::Connection {
     MsgType request_type = MsgType::kPing;
     std::uint64_t request_id = 0;
     Nanoseconds start_ns = 0;
-    std::uint8_t version = kVersion;  ///< Echoed on the reply frame.
-    obs::TraceContext trace;          ///< v3 propagated trace identity.
+    obs::TraceContext trace;          ///< Propagated trace identity.
     Nanoseconds trace_start_ns = 0;   ///< Frame arrival, trace clock.
   };
   std::deque<Pending> pending;
@@ -508,7 +507,6 @@ void Server::pump_replies(const std::shared_ptr<Shard>& shard,
       req.request_id = front.request_id;
       const Status enc = encode_job_result(req, result, &bytes);
       if (!enc.ok()) bytes = encode_error(front.request_id, enc.message());
-      stamp_frame_version(&bytes, front.version);
       const Nanoseconds dur = now_ns() - front.start_ns;
       {
         std::lock_guard<std::mutex> obs(obs_mu_);
@@ -551,17 +549,13 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
   }
   const Nanoseconds start = now_ns();
   const Nanoseconds trace_start = obs::trace_clock_ns();
-  const std::uint8_t version = frame.header.version;
   {
     std::lock_guard<std::mutex> obs(obs_mu_);
     metrics_.add(requests_);
     metrics_.add(bytes_in_, static_cast<std::int64_t>(
                                 kHeaderSize + frame.payload.size()));
   }
-  // Replies are stamped with the dialect the client spoke (a v2 client
-  // rejects v3 frames).
   const auto queue_ready = [&](std::vector<std::uint8_t> bytes) {
-    stamp_frame_version(&bytes, version);
     Connection::Pending p;
     p.ready = std::move(bytes);
     conn->pending.push_back(std::move(p));
@@ -699,7 +693,6 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
       p.request_type = req.type;
       p.request_id = req.request_id;
       p.start_ns = start;
-      p.version = version;
       p.trace = req.options.trace;
       p.trace_start_ns = trace_start;
       conn->pending.push_back(std::move(p));

@@ -34,8 +34,8 @@
 // byte stream, so those close the connection; malformed payloads inside
 // valid frames get kError replies.
 //
-// Robustness (protocol v2): job frames carry a deadline (propagated to
-// the service as an absolute submit deadline) and an idempotency id.
+// Robustness: job frames carry a deadline (propagated to the service as
+// an absolute submit deadline) and an idempotency id.
 // Ids deduplicate retries server-side — a repeat of an id the server
 // has seen attaches to the ORIGINAL job's handle instead of submitting
 // again, so a client retrying after an ambiguous failure can never

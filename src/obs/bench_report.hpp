@@ -5,7 +5,7 @@
 // the JSON; humans read the table).  Schema:
 //
 //   { "bench": "<name>",
-//     "engine": "interp" | "threaded" | "batch:<W>",
+//     "engine": "interp" | "threaded",
 //     "metrics": [ {"name": ..., "value": ..., "unit": ...,
 //                   "params": {"k": "v", ...}}, ... ],
 //     "tables":  [ {"name": ..., "header": [...], "rows": [[...], ...]} ] }

@@ -111,6 +111,11 @@ TEST(Protocol, HeaderRejectsBadMagicVersionTypeAndLength) {
   std::memcpy(bad, good, kHeaderSize);
   bad[4] = kVersion + 1;  // version
   EXPECT_FALSE(decode_header(bad, &out).ok());
+  bad[4] = 2;  // the retired v2 dialect
+  const Status v2 = decode_header(bad, &out);
+  EXPECT_FALSE(v2.ok());
+  EXPECT_NE(v2.message().find("unsupported protocol version"),
+            std::string::npos);
 
   std::memcpy(bad, good, kHeaderSize);
   bad[5] = 0;  // unknown type
@@ -200,7 +205,7 @@ TEST(Protocol, DecodeRejectsTruncatedAndOversizedPayloads) {
 
   // Oversized element count: claim 2^30 FFT points.
   frame.payload.assign(bytes.begin() + kHeaderSize, bytes.end());
-  // request id + v3 options (deadline, idempotency id, trace ctx) + n,m,cols
+  // request id + job options (deadline, idempotency id, trace ctx) + n,m,cols
   const std::size_t count_at = 8 + 28 + 12;
   frame.payload[count_at + 3] = 0x40;
   const Status s = decode_request(frame, &req);
@@ -245,7 +250,7 @@ TEST(Protocol, ResponseRoundTrip) {
   EXPECT_EQ(resp.result.status.message(), "it broke");
 }
 
-// --- protocol v3: trace context ------------------------------------------
+// --- trace context ---------------------------------------------------------
 
 TEST(Protocol, V3JobFrameCarriesTraceContext) {
   JobFrameOptions wire;
@@ -265,51 +270,10 @@ TEST(Protocol, V3JobFrameCarriesTraceContext) {
   frame.payload.assign(bytes.begin() + kHeaderSize, bytes.end());
   Request req;
   ASSERT_TRUE(decode_request(frame, &req).ok());
-  EXPECT_EQ(req.options.version, kVersion);
   EXPECT_EQ(req.options.trace.trace_id, wire.trace.trace_id);
   EXPECT_EQ(req.options.trace.parent_span_id, wire.trace.parent_span_id);
   EXPECT_EQ(req.options.deadline_ms, 1500u);
   EXPECT_EQ(req.options.idempotency_id, 0xABCDu);
-}
-
-TEST(Protocol, V2FramesInteropWithV3Decoder) {
-  JobFrameOptions wire;
-  wire.version = 2;
-  wire.deadline_ms = 7;
-  wire.trace = {123, 456};  // a v2 frame has nowhere to carry this
-  std::vector<std::uint8_t> v2;
-  ASSERT_TRUE(encode_job_request(4, fft_request(32, 0), &v2, wire).ok());
-  EXPECT_EQ(v2[4], 2);
-  wire.version = kVersion;
-  std::vector<std::uint8_t> v3;
-  ASSERT_TRUE(encode_job_request(4, fft_request(32, 0), &v3, wire).ok());
-  EXPECT_EQ(v3.size(), v2.size() + 16);  // exactly the trace context
-
-  Frame frame;
-  ASSERT_TRUE(decode_header(v2, &frame.header).ok());
-  EXPECT_EQ(frame.header.version, 2);
-  frame.payload.assign(v2.begin() + kHeaderSize, v2.end());
-  Request req;
-  ASSERT_TRUE(decode_request(frame, &req).ok());
-  EXPECT_EQ(req.options.version, 2);
-  EXPECT_FALSE(req.options.trace.valid());  // v2 decodes as untraced
-  EXPECT_EQ(req.options.deadline_ms, 7u);
-
-  // stamp_frame_version rewrites the version byte in place; out-of-range
-  // versions and short buffers are no-ops.
-  stamp_frame_version(&v3, 2);
-  EXPECT_EQ(v3[4], 2);
-  stamp_frame_version(&v3, 1);  // below kMinVersion
-  EXPECT_EQ(v3[4], 2);
-  std::vector<std::uint8_t> tiny(4, 0);
-  stamp_frame_version(&tiny, 2);
-  EXPECT_EQ(tiny, std::vector<std::uint8_t>(4, 0));
-
-  // A version-1 header is rejected outright.
-  std::vector<std::uint8_t> v1 = v2;
-  v1[4] = 1;
-  FrameHeader hdr;
-  EXPECT_FALSE(decode_header(v1, &hdr).ok());
 }
 
 TEST(Protocol, TraceDumpRoundTrip) {
@@ -659,43 +623,6 @@ TEST(NetServer, StatsMergeServiceAndNetCounters) {
 }
 
 // --- wire tracing ---------------------------------------------------------
-
-TEST(NetServer, V2ClientInteropAgainstV3Server) {
-  Rig rig;
-  ClientOptions copt;
-  copt.port = rig.server.port();
-  copt.protocol_version = 2;
-  Client client(copt);
-  ASSERT_TRUE(client.ping().ok());
-  Response resp;
-  ASSERT_TRUE(client.call(block_request(2), &resp).ok());
-  ASSERT_TRUE(resp.result.ok()) << resp.result.status.message();
-  const auto direct = rig.svc.wait(rig.svc.submit(block_request(2)).handle);
-  EXPECT_EQ(
-      std::get<service::JpegBlockJobResult>(resp.result.payload).zigzagged,
-      std::get<service::JpegBlockJobResult>(direct.payload).zigzagged);
-
-  // Raw-socket check: the reply to a v2-stamped frame comes back v2 (a
-  // real v2 client would reject anything newer).
-  std::vector<std::uint8_t> bytes;
-  JobFrameOptions wire;
-  wire.version = 2;
-  ASSERT_TRUE(encode_job_request(77, fft_request(32, 0), &bytes, wire).ok());
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(rig.server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  ASSERT_TRUE(write_all(fd, bytes).ok());
-  Frame reply;
-  Status err;
-  ASSERT_EQ(read_frame(fd, 10000, nullptr, &reply, &err),
-            ReadOutcome::kFrame);
-  EXPECT_EQ(reply.header.version, 2);
-  ::close(fd);
-}
 
 TEST(NetServer, EndToEndTraceSharesOneTraceIdAcrossLayers) {
   // One tracer behind server + service, a second in the client; after a

@@ -59,6 +59,25 @@ TEST(Sweep, PoolIsReusableAcrossJobs) {
       EXPECT_EQ(out[static_cast<std::size_t>(i)], i + round);
     }
   }
+  // Back-to-back jobs: a worker that finishes a job's last candidate must
+  // not claim an index of the next job against the previous job's
+  // function.  Every job's function stays alive, so a stale call shows up
+  // as a second hit instead of a use-after-free.
+  Sweep wide(4);
+  constexpr int kJobs = 2000;
+  constexpr int kPerJob = 4;
+  std::vector<std::atomic<int>> hits(kPerJob * kJobs);
+  std::vector<std::function<void(int)>> jobs;
+  for (int j = 0; j < kJobs; ++j) {
+    jobs.emplace_back([&hits, j](int i) {
+      // Long enough for the workers to take part in every job.
+      volatile int spin = 0;
+      for (int k = 0; k < 20000; ++k) spin = spin + 1;
+      hits[static_cast<std::size_t>(kPerJob * j + i)].fetch_add(1);
+    });
+  }
+  for (const auto& job : jobs) wide.parallel_for(kPerJob, job);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(SweepDeterminism, RebalanceSweepIdenticalForOneAndManyLanes) {
