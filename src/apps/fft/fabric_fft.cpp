@@ -385,7 +385,8 @@ FabricFftResult run_fabric_fft(const FftGeometry& g,
     return result;
   }
   ReconfigController ctrl(IcapModel{},
-                          interconnect::LinkCostModel{opt.link_cost_ns});
+                          interconnect::LinkCostModel{opt.link_cost_ns},
+                          opt.partial_reconfiguration);
   ctrl.set_fault_options(opt.icap_faults);
   ctrl.attach_timeline(opt.spans);
   fab.attach_metrics(opt.metrics);

@@ -124,6 +124,11 @@ struct FabricFftOptions {
   /// flight, readback verification, and the retry bound.  Default-off: the
   /// zero-fault run streams exactly as the paper models it.
   config::IcapFaultOptions icap_faults{};
+  /// Partial reconfiguration (the paper's reMORPH): tiles a transition
+  /// does not touch keep running.  false runs the single-context baseline
+  /// instead, which stalls the whole array for every transition — the
+  /// mode paper_report's overlap ablation executes.
+  bool partial_reconfiguration = true;
 
   // --- observability (docs/OBSERVABILITY.md); all default-off ---
   /// Span timeline for epoch / ICAP / stall tracks (not owned).

@@ -225,23 +225,35 @@ TransitionReport ReconfigController::scrub_tile(fabric::Fabric& fabric,
   return report;
 }
 
-fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
-                            const EpochConfig& epoch, std::int64_t max_cycles,
-                            Timeline& timeline) {
+std::optional<fabric::RunResult> run_epoch(
+    fabric::Fabric& fabric, ReconfigController& ctrl, const EpochConfig& epoch,
+    Timeline& timeline, const EpochRunner& runner,
+    std::vector<obs::SpanArg> span_args) {
   const TransitionReport report = ctrl.apply(fabric, epoch);
   timeline.reconfig_ns += report.total_ns();
   timeline.transitions.push_back(report);
 
   const Nanoseconds epoch_start_ns = cycles_to_ns(fabric.now());
-  fabric::RunResult run = fabric.run(max_cycles);
-  timeline.epoch_compute_ns += run.elapsed_ns();
-  timeline.epoch_cycles.push_back(run.cycles);
+  std::optional<fabric::RunResult> run = runner(report);
+  if (!run.has_value()) return run;
+  timeline.epoch_compute_ns += run->elapsed_ns();
+  timeline.epoch_cycles.push_back(run->cycles);
   if (obs::SpanTimeline* spans = ctrl.timeline(); spans != nullptr) {
+    span_args.insert(span_args.begin(),
+                     {"cycles", std::to_string(run->cycles), true});
     spans->complete(epoch.name, "epoch", obs::kTrackEpochs, epoch_start_ns,
-                    run.elapsed_ns(),
-                    {{"cycles", std::to_string(run.cycles), true}});
+                    run->elapsed_ns(), std::move(span_args));
   }
   return run;
+}
+
+fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
+                            const EpochConfig& epoch, std::int64_t max_cycles,
+                            Timeline& timeline) {
+  return *run_epoch(fabric, ctrl, epoch, timeline,
+                    [&](const TransitionReport&) {
+                      return std::optional(fabric.run(max_cycles));
+                    });
 }
 
 ScheduleResult run_schedule(fabric::Fabric& fabric, ReconfigController& ctrl,

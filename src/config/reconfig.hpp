@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -166,11 +168,25 @@ class ReconfigController {
   obs::SpanTimeline* spans_ = nullptr;
 };
 
-/// One epoch: apply `epoch` to `fabric`, run until every tile halts or
-/// `max_cycles` elapse, and account both in `timeline` (the transition
-/// report and its term-B cost, the executed time and cycles).  With a
-/// span timeline attached to `ctrl`, the epoch's span is recorded too.
-/// run_schedule and fft::run_fabric_fft step through this.
+/// The run step of one epoch, called once its transition is applied and
+/// accounted.  Returns the run, or nullopt to skip running the epoch.
+using EpochRunner =
+    std::function<std::optional<fabric::RunResult>(const TransitionReport&)>;
+
+/// One epoch, the single owner of its bookkeeping: apply `epoch` to
+/// `fabric` and account the transition in `timeline` (the report and its
+/// term-B cost); then run it with `runner` and, unless the runner skipped,
+/// account the executed time and cycles.  With a span timeline attached to
+/// `ctrl`, a run epoch's span is recorded, tagged with its cycles and then
+/// `span_args`.  run_schedule, fft::run_fabric_fft and
+/// faults::RecoveryManager all step through this.
+std::optional<fabric::RunResult> run_epoch(
+    fabric::Fabric& fabric, ReconfigController& ctrl, const EpochConfig& epoch,
+    Timeline& timeline, const EpochRunner& runner,
+    std::vector<obs::SpanArg> span_args = {});
+
+/// run_epoch whose run step is fabric.run(max_cycles): until every tile
+/// halts or `max_cycles` elapse.
 fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
                             const EpochConfig& epoch, std::int64_t max_cycles,
                             Timeline& timeline);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <set>
 
 #include "mapping/placement.hpp"
@@ -165,37 +166,34 @@ RecoveryReport RecoveryManager::run_item(
               read_block(fabric_.tile(m.tile), impl.in_base, impl.words)};
     }
 
-    const config::TransitionReport treport =
-        ctrl_.apply(fabric_, sched.epochs[idx]);
-    rep.timeline.reconfig_ns += treport.total_ns();
-    rep.timeline.transitions.push_back(treport);
+    // A stream the controller could not verify leaves the epoch unrun; the
+    // instruction-memory fingerprints are taken between apply and run.
+    std::vector<std::uint64_t> imem_before;
+    const std::int64_t budget =
+        policy_.watchdog.budget_cycles(m.predicted_cycles);
+    const std::optional<fabric::RunResult> ran = config::run_epoch(
+        fabric_, ctrl_, sched.epochs[idx], rep.timeline,
+        [&](const config::TransitionReport& applied)
+            -> std::optional<fabric::RunResult> {
+          if (!applied.detected.empty()) return std::nullopt;
+          if (policy_.scrub_imem) {
+            imem_before.reserve(static_cast<std::size_t>(fabric_.tile_count()));
+            for (int t = 0; t < fabric_.tile_count(); ++t) {
+              imem_before.push_back(imem_checksum(fabric_.tile(t)));
+            }
+          }
+          return run_with_injection(budget, rep);
+        },
+        {{"replay", replay ? "true" : "false", true}});
+    const config::TransitionReport treport = rep.timeline.transitions.back();
     rep.icap_retries += treport.icap_retries;
     rep.recovery_ns += treport.retry_ns;
     if (replay) rep.recovery_ns += treport.total_ns() - treport.retry_ns;
     ++rep.epochs_applied;
 
-    fabric::RunResult run{};
-    const bool stream_failed = !treport.detected.empty();
-    std::vector<std::uint64_t> imem_before;
-    if (policy_.scrub_imem && !stream_failed) {
-      imem_before.reserve(static_cast<std::size_t>(fabric_.tile_count()));
-      for (int t = 0; t < fabric_.tile_count(); ++t) {
-        imem_before.push_back(imem_checksum(fabric_.tile(t)));
-      }
-    }
+    const bool stream_failed = !ran.has_value();
+    const fabric::RunResult run = ran.value_or(fabric::RunResult{});
     if (!stream_failed) {
-      const std::int64_t budget =
-          policy_.watchdog.budget_cycles(m.predicted_cycles);
-      const Nanoseconds epoch_start_ns = cycles_to_ns(fabric_.now());
-      run = run_with_injection(budget, rep);
-      rep.timeline.epoch_compute_ns += run.elapsed_ns();
-      rep.timeline.epoch_cycles.push_back(run.cycles);
-      if (obs::SpanTimeline* spans = ctrl_.timeline(); spans != nullptr) {
-        spans->complete(sched.epochs[idx].name, "epoch", obs::kTrackEpochs,
-                        epoch_start_ns, run.elapsed_ns(),
-                        {{"cycles", std::to_string(run.cycles), true},
-                         {"replay", replay ? "true" : "false", true}});
-      }
       if (replay) rep.recovery_ns += run.elapsed_ns();
       // Configuration scrub: instruction memory never changes outside
       // the ICAP, so any fingerprint drift across the run is an upset —

@@ -17,6 +17,10 @@
 // stops as soon as the next candidate's II cannot beat the best total —
 // II is a lower bound on any placement's total.  `optimal` reports whether
 // that proof ran to completion inside the node budgets.
+//
+// Most candidates are never placement-searched, so a candidate is stored
+// compactly (a partition row and a replication vector in flat pools, plus
+// its II and tile count) and becomes a Binding only when it is searched.
 #include <algorithm>
 #include <cmath>
 
@@ -30,10 +34,39 @@ using mapping::Binding;
 using mapping::Placement;
 using procnet::ProcessNetwork;
 
+/// A candidate binding: the partition and replication vector it names in
+/// the CandidatePool, and the II and tile count it would evaluate to.
 struct Candidate {
-  Binding binding;
+  int partition = 0;    ///< Row of CandidatePool::labels.
+  int replication = 0;  ///< Offset of its vector in CandidatePool::reps.
   Nanoseconds ii_ns = 0.0;
   int tiles = 0;
+};
+
+/// Flat storage behind every Candidate of one map() call.
+struct CandidatePool {
+  std::vector<int> order;         ///< Topological order of the processes.
+  std::vector<int> labels;        ///< Group of order[i]; one row/partition.
+  std::vector<int> group_counts;  ///< Groups per partition row.
+  std::vector<int> reps;          ///< Concatenated replication vectors.
+
+  /// The Binding a candidate names (groups list processes in topological
+  /// order, exactly as the partition search built them).
+  [[nodiscard]] Binding binding(const Candidate& c) const {
+    const std::size_t n = order.size();
+    const int g = group_counts[static_cast<std::size_t>(c.partition)];
+    const int* label = &labels[static_cast<std::size_t>(c.partition) * n];
+    Binding b;
+    b.groups.resize(static_cast<std::size_t>(g));
+    for (std::size_t i = 0; i < n; ++i) {
+      b.groups[static_cast<std::size_t>(label[i])].procs.push_back(order[i]);
+    }
+    for (int i = 0; i < g; ++i) {
+      b.groups[static_cast<std::size_t>(i)].replication =
+          reps[static_cast<std::size_t>(c.replication + i)];
+    }
+    return b;
+  }
 };
 
 /// Inter-group edge of one candidate binding.
@@ -43,74 +76,27 @@ struct GroupEdge {
   int words = 0;
 };
 
-/// Replication vectors minimal for their makespan level: r_i(t) =
-/// ceil(busy_i / t) over replicable singletons, one vector per candidate
-/// level t drawn from {busy_i / k}.  Returns deduplicated vectors (always
-/// including all-ones) whose tile sum fits the budget.
-std::vector<std::vector<int>> minimal_replications(
-    const ProcessNetwork& net, const std::vector<std::vector<int>>& groups,
-    int budget, const mapping::CostParams& params) {
-  const int g = static_cast<int>(groups.size());
-  std::vector<Nanoseconds> busy(groups.size());
-  std::vector<bool> replicable(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    busy[i] = mapping::group_busy_ns(net, groups[i], params);
-    replicable[i] = groups[i].size() == 1 &&
-                    net.process(groups[i].front()).replicable;
-  }
-  std::vector<std::vector<int>> out;
-  auto add_level = [&](double t) {
-    if (t <= 0.0) return;
-    std::vector<int> r(groups.size(), 1);
-    int total = 0;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (replicable[i] && busy[i] > t) {
-        r[i] = static_cast<int>(std::ceil(busy[i] / t - 1e-9));
-      }
-      total += r[i];
-    }
-    if (total > budget) return;
-    if (std::find(out.begin(), out.end(), r) == out.end()) {
-      out.push_back(std::move(r));
-    }
-  };
-  add_level(*std::max_element(busy.begin(), busy.end()));  // all ones
-  // Every group's busy/k is a candidate level, k = 1 included: a slow
-  // non-replicable (or unsplit) group sets the makespan floor the OTHER
-  // groups replicate down to, so its k = 1 level demands a vector of its
-  // own (e.g. the diamond: join's floor asks left and right for 2 replicas
-  // each even though join itself never replicates).
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const int k_max = replicable[i] ? budget - g + 1 : 1;
-    for (int k = 1; k <= k_max; ++k) {
-      add_level(busy[i] / static_cast<double>(k));
-    }
-  }
-  return out;
-}
-
 /// Placement branch-and-bound for one candidate binding.
 class PlacementSearch {
  public:
-  PlacementSearch(const ProcessNetwork& net, const Candidate& cand,
-                  const CostModel& cost, int mesh_rows, int mesh_cols,
-                  std::int64_t* nodes_left)
+  PlacementSearch(const ProcessNetwork& net, const Binding& binding,
+                  Nanoseconds ii_ns, const CostModel& cost, int mesh_rows,
+                  int mesh_cols, std::int64_t* nodes_left)
       : net_(net),
-        cand_(cand),
+        binding_(binding),
+        ii_ns_(ii_ns),
         cost_(cost),
-        mesh_rows_(mesh_rows),
-        mesh_cols_(mesh_cols),
-        mesh_(mesh_rows, mesh_cols),
         nodes_left_(nodes_left) {
-    const int n = mesh_.tile_count();
-    dist_.assign(static_cast<std::size_t>(n * n), 0);
-    for (int a = 0; a < n; ++a) {
-      for (int b = 0; b < n; ++b) {
-        dist_[static_cast<std::size_t>(a * n + b)] =
-            interconnect::manhattan_distance(mesh_, a, b);
+    const interconnect::LinkConfig mesh(mesh_rows, mesh_cols);
+    n_ = mesh.tile_count();
+    dist_.assign(static_cast<std::size_t>(n_ * n_), 0);
+    for (int a = 0; a < n_; ++a) {
+      for (int b = 0; b < n_; ++b) {
+        dist_[static_cast<std::size_t>(a * n_ + b)] =
+            interconnect::manhattan_distance(mesh, a, b);
       }
     }
-    const auto owner = mapping::owner_of_processes(net, cand.binding);
+    const auto owner = mapping::owner_of_processes(net, binding);
     for (int e = 0; e < static_cast<int>(net.edges().size()); ++e) {
       const auto& edge = net.edges()[static_cast<std::size_t>(e)];
       const int ga = owner[static_cast<std::size_t>(edge.from)];
@@ -118,7 +104,20 @@ class PlacementSearch {
       if (ga == gb) continue;
       edges_.push_back({ga, gb, edge.words});
     }
-    for (int g = 0; g < static_cast<int>(cand.binding.groups.size()); ++g) {
+    // edge_ns_[e * stride + d + 1] = transfer_ns(words, d - 1) for every
+    // distance d the search can hold, -1 ("nothing placed yet") included:
+    // transfer_ns is 0 for hops <= 0, the same 0.0 the bound charged an
+    // edge before its first placed pair.
+    stride_ = mesh_rows + mesh_cols;
+    edge_ns_.reserve(edges_.size() * static_cast<std::size_t>(stride_));
+    for (const auto& ge : edges_) {
+      for (int d = -1; d + 1 < stride_; ++d) {
+        edge_ns_.push_back(cost.copy.transfer_ns(ge.words, d - 1));
+      }
+    }
+    const auto& groups = binding.groups;
+    std::size_t undo_max = 0;
+    for (int g = 0; g < static_cast<int>(groups.size()); ++g) {
       edges_of_group_.emplace_back();
       for (int e = 0; e < static_cast<int>(edges_.size()); ++e) {
         if (edges_[static_cast<std::size_t>(e)].a == g ||
@@ -126,14 +125,19 @@ class PlacementSearch {
           edges_of_group_.back().push_back(e);
         }
       }
-      for (int r = 0; r < cand.binding.groups[static_cast<std::size_t>(g)]
-                              .replication;
-           ++r) {
-        units_.push_back(g);
-      }
+      const int r = groups[static_cast<std::size_t>(g)].replication;
+      for (int k = 0; k < r; ++k) units_.push_back(g);
+      undo_max += edges_of_group_.back().size() * static_cast<std::size_t>(r);
     }
     worst_.assign(edges_.size(), -1);
-    placed_.assign(cand.binding.groups.size(), {});
+    // Each placed replica logs at most one undo entry per touched edge.
+    undo_.reserve(undo_max);
+    placed_.resize(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      placed_[g].reserve(static_cast<std::size_t>(groups[g].replication));
+    }
+    leaf_.mesh_rows = mesh_rows;
+    leaf_.mesh_cols = mesh_cols;
   }
 
   /// Search; updates *best_total/*best_placement on improvement.  Returns
@@ -147,10 +151,6 @@ class PlacementSearch {
   }
 
  private:
-  [[nodiscard]] Nanoseconds edge_cost(int words, int d) const {
-    return cost_.copy.transfer_ns(words, d - 1);
-  }
-
   void descend(std::size_t unit, std::uint32_t used, Nanoseconds partial) {
     if (*nodes_left_ <= 0) {
       complete_ = false;
@@ -162,77 +162,79 @@ class PlacementSearch {
       return;
     }
     const int g = units_[unit];
+    auto& placed_g = placed_[static_cast<std::size_t>(g)];
     // Replicas of one group are interchangeable: force ascending tile
     // indices within the group to break the r! symmetry.
     const int floor_tile =
-        (unit > 0 && units_[unit - 1] == g)
-            ? placed_[static_cast<std::size_t>(g)].back() + 1
-            : 0;
-    const int n = mesh_.tile_count();
-    for (int t = floor_tile; t < n; ++t) {
+        (unit > 0 && units_[unit - 1] == g) ? placed_g.back() + 1 : 0;
+    const auto& group_edges = edges_of_group_[static_cast<std::size_t>(g)];
+    for (int t = floor_tile; t < n_; ++t) {
       if ((used >> t) & 1u) continue;
+      const int* dist_t = &dist_[static_cast<std::size_t>(t * n_)];
       // Incrementally lift each touched edge's worst placed replica pair.
-      // The undo log is per level: recursion below reuses the shared
-      // worst_ array, so each frame must restore exactly its own writes.
+      // Recursion below reuses the shared worst_ array and undo stack, so
+      // each frame restores exactly its own writes, down to its own base.
+      const std::size_t undo_base = undo_.size();
       Nanoseconds delta = 0.0;
-      std::vector<std::pair<int, int>> undo;
-      for (const int e : edges_of_group_[static_cast<std::size_t>(g)]) {
+      for (const int e : group_edges) {
         const auto& ge = edges_[static_cast<std::size_t>(e)];
         const int other = ge.a == g ? ge.b : ge.a;
-        int far = worst_[static_cast<std::size_t>(e)];
+        const int old = worst_[static_cast<std::size_t>(e)];
+        int far = old;
         for (const int t2 : placed_[static_cast<std::size_t>(other)]) {
-          far = std::max(far, dist_[static_cast<std::size_t>(
-                                  t * n + t2)]);
+          far = std::max(far, dist_t[t2]);
         }
         // The same-group placed replicas never pair with t (an edge always
         // crosses groups), so `far` only reflects cross-group pairs.
-        if (far != worst_[static_cast<std::size_t>(e)]) {
-          const int old = worst_[static_cast<std::size_t>(e)];
-          delta += edge_cost(ge.words, far) -
-                   (old < 0 ? 0.0 : edge_cost(ge.words, old));
-          undo.emplace_back(e, old);
+        if (far != old) {
+          const Nanoseconds* ns =
+              &edge_ns_[static_cast<std::size_t>(e * stride_ + 1)];
+          delta += ns[far] - ns[old];
+          undo_.emplace_back(e, old);
           worst_[static_cast<std::size_t>(e)] = far;
         }
       }
-      const Nanoseconds bound = cand_.ii_ns + partial + delta;
+      const Nanoseconds bound = ii_ns_ + partial + delta;
       if (bound < *best_total_) {
-        placed_[static_cast<std::size_t>(g)].push_back(t);
+        placed_g.push_back(t);
         descend(unit + 1, used | (1u << t), partial + delta);
-        placed_[static_cast<std::size_t>(g)].pop_back();
+        placed_g.pop_back();
       }
-      for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-        worst_[static_cast<std::size_t>(it->first)] = it->second;
+      while (undo_.size() > undo_base) {
+        worst_[static_cast<std::size_t>(undo_.back().first)] =
+            undo_.back().second;
+        undo_.pop_back();
       }
       if (!complete_) return;
     }
   }
 
   void leaf(Nanoseconds partial) {
-    Placement p;
-    p.mesh_rows = mesh_rows_;
-    p.mesh_cols = mesh_cols_;
-    p.tile_of = placed_;
-    const LinkPlan plan = plan_links(net_, cand_.binding, p, cost_);
-    const Nanoseconds total = cand_.ii_ns + partial + plan.link_ns;
+    leaf_.tile_of = placed_;
+    const LinkPlan plan = plan_links(net_, binding_, leaf_, cost_);
+    const Nanoseconds total = ii_ns_ + partial + plan.link_ns;
     if (total < *best_total_) {
       *best_total_ = total;
-      *best_placement_ = std::move(p);
+      *best_placement_ = leaf_;
     }
   }
 
   const ProcessNetwork& net_;
-  const Candidate& cand_;
+  const Binding& binding_;
+  Nanoseconds ii_ns_;
   const CostModel& cost_;
-  int mesh_rows_;
-  int mesh_cols_;
-  interconnect::LinkConfig mesh_;
+  int n_ = 0;  ///< Mesh tiles.
   std::int64_t* nodes_left_;
   std::vector<int> dist_;
   std::vector<GroupEdge> edges_;
+  int stride_ = 0;                          ///< Row length of edge_ns_.
+  std::vector<Nanoseconds> edge_ns_;        ///< Per-edge cost by distance.
   std::vector<std::vector<int>> edges_of_group_;
   std::vector<int> units_;                  ///< Group id per placed replica.
   std::vector<int> worst_;                  ///< Per-edge worst placed pair.
+  std::vector<std::pair<int, int>> undo_;   ///< (edge, previous worst_).
   std::vector<std::vector<int>> placed_;    ///< Tiles per group so far.
+  Placement leaf_;                          ///< Scratch for leaf scoring.
   Nanoseconds* best_total_ = nullptr;
   Placement* best_placement_ = nullptr;
   bool complete_ = true;
@@ -242,15 +244,19 @@ class PlacementSearch {
 class PartitionSearch {
  public:
   PartitionSearch(const ProcessNetwork& net, int budget,
-                  const mapping::CostParams& params,
+                  const mapping::CostParams& params, CandidatePool* pool,
                   std::int64_t* nodes_left)
-      : net_(net), budget_(budget), params_(params), nodes_left_(nodes_left) {
-    order_ = procnet::topological_order(net);
+      : net_(net),
+        budget_(budget),
+        params_(params),
+        pool_(pool),
+        nodes_left_(nodes_left) {
+    label_.assign(pool->order.size(), 0);
   }
 
   /// Enumerate partitions whose II lower bound stays below `prune_above`,
-  /// emitting every (partition x minimal replication) candidate.  Returns
-  /// false if the node budget ran out.
+  /// emitting every (partition x minimal replication) candidate whose II
+  /// is below it too.  Returns false if the node budget ran out.
   bool run(Nanoseconds prune_above, std::vector<Candidate>* out) {
     prune_above_ = prune_above;
     out_ = out;
@@ -266,32 +272,44 @@ class PartitionSearch {
       return;
     }
     --*nodes_left_;
-    if (idx == order_.size()) {
+    const auto& order = pool_->order;
+    if (idx == order.size()) {
       emit();
       return;
     }
-    const int p = order_[idx];
+    const int p = order[idx];
     const int g = static_cast<int>(groups_.size());
     for (int target = 0; target <= g && complete_; ++target) {
       if (target == g && g >= budget_) break;
+      // A group's busy time depends only on its process list, so the value
+      // saved before the push is exactly what a pop restores.
+      Nanoseconds saved = 0.0;
       if (target == g) {
         groups_.emplace_back(1, p);
         busy_.push_back(mapping::group_busy_ns(net_, groups_.back(), params_));
       } else {
-        groups_[static_cast<std::size_t>(target)].push_back(p);
-        busy_[static_cast<std::size_t>(target)] = mapping::group_busy_ns(
-            net_, groups_[static_cast<std::size_t>(target)], params_);
+        auto& group = groups_[static_cast<std::size_t>(target)];
+        saved = busy_[static_cast<std::size_t>(target)];
+        group.push_back(p);
+        busy_[static_cast<std::size_t>(target)] =
+            mapping::group_busy_ns(net_, group, params_);
       }
+      label_[idx] = target;
       if (lower_bound() < prune_above_) assign(idx + 1);
       if (target == g) {
         groups_.pop_back();
         busy_.pop_back();
       } else {
         groups_[static_cast<std::size_t>(target)].pop_back();
-        busy_[static_cast<std::size_t>(target)] = mapping::group_busy_ns(
-            net_, groups_[static_cast<std::size_t>(target)], params_);
+        busy_[static_cast<std::size_t>(target)] = saved;
       }
     }
+  }
+
+  /// Group i may replicate: a singleton whose process is replicable.
+  [[nodiscard]] bool replicable(std::size_t i) const {
+    return groups_[i].size() == 1 &&
+           net_.process(groups_[i].front()).replicable;
   }
 
   /// Admissible II bound of any completion of the partial partition: a
@@ -302,32 +320,81 @@ class PartitionSearch {
     const int cap = std::max(1, budget_ - g + 1);
     Nanoseconds lb = 0.0;
     for (std::size_t i = 0; i < groups_.size(); ++i) {
-      const bool can_replicate =
-          groups_[i].size() == 1 && net_.process(groups_[i].front()).replicable;
-      lb = std::max(lb, can_replicate ? busy_[i] / cap : busy_[i]);
+      lb = std::max(lb, replicable(i) ? busy_[i] / cap : busy_[i]);
     }
     return lb;
   }
 
+  /// Emit the complete partition's candidates: one per replication vector
+  /// minimal for its makespan level, r_i(t) = ceil(busy_i / t) over
+  /// replicable singletons, for every level t drawn from {busy_i / k}.
+  /// The all-ones vector comes first; vectors are deduplicated, and only
+  /// those whose tile sum fits the budget and whose II is below the prune
+  /// bound are kept.
   void emit() {
-    for (auto& r : minimal_replications(net_, groups_, budget_, params_)) {
-      Candidate c;
-      for (std::size_t i = 0; i < groups_.size(); ++i) {
-        c.binding.groups.push_back({groups_[i], r[i]});
+    const std::size_t g = groups_.size();
+    auto& reps = pool_->reps;
+    const std::size_t first_rep = reps.size();
+    const int partition = static_cast<int>(pool_->group_counts.size());
+    r_.resize(g);
+    auto add_level = [&](double t) {
+      if (t <= 0.0) return;
+      int tiles = 0;
+      for (std::size_t i = 0; i < g; ++i) {
+        r_[i] = 1;
+        if (replicable(i) && busy_[i] > t) {
+          r_[i] = static_cast<int>(std::ceil(busy_[i] / t - 1e-9));
+        }
+        tiles += r_[i];
       }
-      c.ii_ns = mapping::evaluate(net_, c.binding, params_).ii_ns;
-      c.tiles = c.binding.tile_count();
-      if (c.ii_ns < prune_above_) out_->push_back(std::move(c));
+      if (tiles > budget_) return;
+      // II folds max(busy / r) from 0.0 in group order, as
+      // mapping::evaluate does, so it is bit-equal to evaluate's ii_ns.
+      Nanoseconds ii = 0.0;
+      for (std::size_t i = 0; i < g; ++i) {
+        ii = std::max(ii, busy_[i] / static_cast<double>(r_[i]));
+      }
+      // A vector whose II misses the bound is not stored; a duplicate of
+      // it is recomputed and dropped again, so skipping it in the dedup
+      // changes nothing.
+      if (!(ii < prune_above_)) return;
+      for (std::size_t at = first_rep; at < reps.size(); at += g) {
+        if (std::equal(r_.begin(), r_.end(),
+                       reps.begin() + static_cast<std::ptrdiff_t>(at))) {
+          return;
+        }
+      }
+      out_->push_back({partition, static_cast<int>(reps.size()), ii, tiles});
+      reps.insert(reps.end(), r_.begin(), r_.end());
+    };
+    add_level(*std::max_element(busy_.begin(), busy_.end()));  // all ones
+    // Every group's busy/k is a candidate level, k = 1 included: a slow
+    // non-replicable (or unsplit) group sets the makespan floor the OTHER
+    // groups replicate down to, so its k = 1 level demands a vector of its
+    // own (e.g. the diamond: join's floor asks left and right for 2 replicas
+    // each even though join itself never replicates).
+    for (std::size_t i = 0; i < g; ++i) {
+      const int k_max =
+          replicable(i) ? budget_ - static_cast<int>(g) + 1 : 1;
+      for (int k = 1; k <= k_max; ++k) {
+        add_level(busy_[i] / static_cast<double>(k));
+      }
+    }
+    if (reps.size() > first_rep) {
+      pool_->labels.insert(pool_->labels.end(), label_.begin(), label_.end());
+      pool_->group_counts.push_back(static_cast<int>(g));
     }
   }
 
   const ProcessNetwork& net_;
   int budget_;
   const mapping::CostParams& params_;
+  CandidatePool* pool_;
   std::int64_t* nodes_left_;
-  std::vector<int> order_;
   std::vector<std::vector<int>> groups_;
   std::vector<Nanoseconds> busy_;
+  std::vector<int> label_;  ///< Group of order[i] in the partial partition.
+  std::vector<int> r_;      ///< Replication vector being built by emit().
   Nanoseconds prune_above_ = 0.0;
   std::vector<Candidate>* out_ = nullptr;
   bool complete_ = true;
@@ -377,8 +444,10 @@ MappedNetwork ExactMapper::map(const ProcessNetwork& net, int mesh_rows,
   }
 
   std::int64_t nodes_left = options.node_budget;
+  CandidatePool pool;
+  pool.order = procnet::topological_order(net);
   std::vector<Candidate> candidates;
-  PartitionSearch partitions(net, budget, cost.params, &nodes_left);
+  PartitionSearch partitions(net, budget, cost.params, &pool, &nodes_left);
   bool proof = partitions.run(best_total, &candidates);
 
   std::stable_sort(candidates.begin(), candidates.end(),
@@ -396,12 +465,15 @@ MappedNetwork ExactMapper::map(const ProcessNetwork& net, int mesh_rows,
     }
     ++searched;
     Nanoseconds before = best_total;
-    PlacementSearch search(net, cand, cost, mesh_rows, mesh_cols,
-                           &nodes_left);
+    Binding binding = pool.binding(cand);
     Placement found;
-    if (!search.run(&best_total, &found)) proof = false;
+    if (!PlacementSearch(net, binding, cand.ii_ns, cost, mesh_rows, mesh_cols,
+                         &nodes_left)
+             .run(&best_total, &found)) {
+      proof = false;
+    }
     if (best_total < before) {
-      best_binding = cand.binding;
+      best_binding = std::move(binding);
       best_placement = std::move(found);
     }
   }

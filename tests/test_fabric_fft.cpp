@@ -126,6 +126,33 @@ TEST(FabricFft, LinkCostRaisesReconfigTerm) {
   EXPECT_LT(rms_error(r0.output, r1.output), 1e-12);
 }
 
+TEST(FabricFft, SingleContextModeStallsEveryTileButEndsNoLater) {
+  // The single-context baseline stalls the whole array through every
+  // transition, so tiles spend more cycles stalled.  Each epoch starts
+  // with every tile halted and its last-streamed tile is on the critical
+  // path, so the executed time is the same as under partial
+  // reconfiguration (paper_report's overlap ablation).
+  const auto g = make_geometry(32, 8);
+  const auto x = random_signal(32, 7);
+  auto stalled = [](const FabricFftResult& r) {
+    std::int64_t sum = 0;
+    for (const auto& t : r.profile.tiles) sum += t.stalled;
+    return sum;
+  };
+  FabricFftOptions partial;
+  partial.collect_profile = true;
+  FabricFftOptions full = partial;
+  full.partial_reconfiguration = false;
+  const auto rp = run_fabric_fft(g, x, partial);
+  const auto rf = run_fabric_fft(g, x, full);
+  ASSERT_TRUE(rp.ok());
+  ASSERT_TRUE(rf.ok());
+  EXPECT_GT(stalled(rf), stalled(rp));
+  EXPECT_EQ(rf.timeline.epoch_compute_ns, rp.timeline.epoch_compute_ns);
+  EXPECT_EQ(rf.timeline.reconfig_ns, rp.timeline.reconfig_ns);
+  EXPECT_EQ(rf.output, rp.output);
+}
+
 TEST(FabricFft, MeasuredBfCyclesMatchTable1Shape) {
   // Table 1's runtimes rise for later stages (more loop groups); ours must
   // show the same monotone trend within the local-kernel stages, and the

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/prng.hpp"
 #include "config/reconfig.hpp"
 #include "mapper/mapper.hpp"
+#include "service/artifact_cache.hpp"
 
 namespace cgra::mapper {
 namespace {
@@ -291,6 +293,98 @@ TEST(MapperFuzz, ExactNeverLosesToAnnealWhenProofCompletes) {
     EXPECT_LE(exact.cost.total_ns(), anneal.cost.total_ns() + 1e-6)
         << "graph " << i;
   }
+}
+
+// --- golden identity: the exact search's outputs are pinned bit for bit ---
+
+/// Everything a mapper call decides, on one line: search effort, proof,
+/// the three cost terms (%.17g round-trips a double exactly), the binding
+/// and the placement.
+std::string mapping_record(const procnet::ProcessNetwork& net,
+                           const MappedNetwork& m) {
+  char costs[160];
+  std::snprintf(costs, sizeof costs, " ii=%.17g copy=%.17g link=%.17g",
+                m.cost.ii_ns, m.cost.copy_ns, m.cost.link_ns);
+  std::string s = std::to_string(m.nodes_explored) +
+                  (m.optimal ? " optimal" : " open") + costs + " | " +
+                  m.binding.describe(net) + " |";
+  for (const auto& tiles : m.placement.tile_of) {
+    s += " [";
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      s += (i == 0 ? "" : " ") + std::to_string(tiles[i]);
+    }
+    s += "]";
+  }
+  return s;
+}
+
+TEST(MapperGolden, Table4BudgetsUnderBothSolvers) {
+  // Recorded before the exact search went allocation-free; any change to
+  // a search decision (node count, pruning, candidate order, tie-break)
+  // shows up here.
+  const std::vector<std::string> golden = {
+      "Impl1 exact: 10 optimal ii=406866.66666666669 copy=0 link=0 | "
+      "T0: shift DCT Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5 | [0]",
+      "Impl1 anneal: 8379 open ii=406866.66666666669 copy=0 link=0 | "
+      "T0: shift DCT Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5 | [0]",
+      "Impl2 exact: 28 optimal ii=333310 copy=0 link=0 | "
+      "T0: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5  T1: DCT "
+      "| [0] [1]",
+      "Impl2 anneal: 9443 open ii=333310 copy=0 link=0 | "
+      "T0: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5  T1: DCT "
+      "| [11] [10]",
+      "Impl3 exact: 359466 optimal ii=41663.75 copy=1600 link=0 | "
+      "T0: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3  T1: DCT (x8)  T2: "
+      "Hman4 Hman5 | [5] [0 2 4 6 7 8 9 10] [1]",
+      "Impl3 anneal: 11383 open ii=41663.75 copy=1600 link=0 | "
+      "T0: DCT (x8)  T1: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3  T2: "
+      "Hman4 Hman5 | [7 8 15 14 9 5 2 11] [10] [6]",
+      "Impl4 exact: 4000000 open ii=30580.833333333332 copy=3200 link=100 | "
+      "T0: shift Alpha Zigzag Hman1 Hman4  T1: dct (x11)  T2: Quantize Hman2 "
+      "Hman3 Hman5 | [5] [0 1 2 4 6 7 8 10 11 12 13] [9]",
+      "Impl4 anneal: 11702 open ii=30812.5 copy=3200 link=100 | "
+      "T0: dct (x11)  T1: shift Alpha Quantize Zigzag Hman2 Hman5  T2: Hman1 "
+      "Hman3 Hman4 | [7 3 2 14 4 12 8 5 11 9 1] [10] [6]",
+      "Impl5 exact: 567 optimal ii=83430 copy=0 link=0 | "
+      "T0: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5  T1: dct "
+      "(x4) | [5] [1 4 6 9]",
+      "Impl5 anneal: 10964 open ii=83430 copy=0 link=0 | "
+      "T0: shift Alpha Quantize Zigzag Hman1 Hman2 Hman3 Hman4 Hman5  T1: dct "
+      "(x4) | [9] [5 13 8 10]",
+  };
+  std::vector<std::string> got;
+  for (const auto& m : jpeg::table4_manual_mappings()) {
+    for (const SolverKind kind : {SolverKind::kExact, SolverKind::kAnneal}) {
+      MapperOptions opt;
+      opt.max_tiles = m.tiles;
+      opt.solver = kind;
+      const auto mapped = map_network(m.network, 4, 4, opt);
+      ASSERT_TRUE(mapped.ok()) << m.name;
+      got.push_back(m.name + " " + solver_kind_name(kind) + ": " +
+                    mapping_record(m.network, mapped));
+    }
+  }
+  ASSERT_EQ(got.size(), golden.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]);
+  }
+}
+
+TEST(MapperGolden, ExactFuzzGraphsDigest) {
+  // The 100 graphs of MapperFuzz.ExactMappingsAreLegalOnRandomGraphs (all
+  // 100 even under sanitizers: the digest covers the full set).
+  SplitMix64 rng(0xE1);
+  std::string records;
+  for (int i = 0; i < 100; ++i) {
+    const auto net = random_network(rng, 8);
+    MapperOptions opt;
+    opt.solver = SolverKind::kExact;
+    const auto mapped = map_network(net, 3, 3, opt);
+    ASSERT_TRUE(mapped.ok()) << "graph " << i;
+    records += mapping_record(net, mapped) + "\n";
+  }
+  EXPECT_EQ(service::fnv1a(records), 0x0e9acb567e76d5e1ull)
+      << "first record: " << records.substr(0, records.find('\n'));
 }
 
 // --- degenerate shapes ---------------------------------------------------
