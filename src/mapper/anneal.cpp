@@ -5,11 +5,12 @@
 //   * move a process to another (or a fresh) group,
 //   * replicate / dereplicate a replicable singleton group,
 //   * relocate a replica to a free tile or swap two replicas' tiles.
-// Every proposal is scored with the shared cost model and accepted under
-// the Metropolis rule with geometric cooling; restarts walk the different
-// list-scheduling seeds.  All randomness flows from options.seed through
-// SplitMix64, so the same call always returns the same mapping, and the
-// result is never worse than the best seed.
+// Every proposal is scored with the shared cost model (mapper::Scorer, which
+// does not allocate) and accepted under the Metropolis rule with geometric
+// cooling; restarts walk the different list-scheduling seeds.  All
+// randomness flows from options.seed through SplitMix64, so the same call
+// always returns the same mapping, and the result is never worse than the
+// best seed.
 #include <algorithm>
 #include <cmath>
 
@@ -157,8 +158,9 @@ MappedNetwork AnnealMapper::map(const ProcessNetwork& net, int mesh_rows,
                             : mesh_tiles;
   const CostModel& cost = options.cost;
 
+  Scorer scorer(net, mesh_rows, mesh_cols, cost);
   auto score = [&](const State& s) {
-    return score_mapping(net, s.binding, s.placement, cost).total_ns();
+    return scorer.score(s.binding, s.placement).total_ns();
   };
 
   // List-scheduling seeds, placed and locally improved.
@@ -186,6 +188,7 @@ MappedNetwork AnnealMapper::map(const ProcessNetwork& net, int mesh_rows,
   std::int64_t evaluations = static_cast<std::int64_t>(seeds.size());
   const int restarts = std::max(1, options.anneal_restarts);
   const int iterations = std::max(1, options.anneal_iterations);
+  State next;  // proposal storage, reused: each proposal copies into it
   for (int restart = 0; restart < restarts; ++restart) {
     State cur = seeds[static_cast<std::size_t>(restart) % seeds.size()];
     Nanoseconds cur_score = score(cur);
@@ -196,7 +199,7 @@ MappedNetwork AnnealMapper::map(const ProcessNetwork& net, int mesh_rows,
     const double alpha = std::pow(t_end / t0, 1.0 / iterations);
     double temp = t0;
     for (int it = 0; it < iterations; ++it, temp *= alpha) {
-      State next = cur;
+      next = cur;
       const std::uint64_t kind = rng.next_below(6);
       bool changed = false;
       switch (kind) {
@@ -218,7 +221,7 @@ MappedNetwork AnnealMapper::map(const ProcessNetwork& net, int mesh_rows,
       ++evaluations;
       const double delta = next_score - cur_score;
       if (delta <= 0.0 || rng.next_double() < std::exp(-delta / temp)) {
-        cur = std::move(next);
+        std::swap(cur, next);
         cur_score = next_score;
         if (cur_score < best_score) {
           best_score = cur_score;

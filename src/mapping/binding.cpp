@@ -1,6 +1,7 @@
 #include "mapping/binding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -55,26 +56,37 @@ std::string Binding::describe(const ProcessNetwork& net) const {
 
 namespace {
 
+/// Groups of up to this many processes (every network the repo maps) are
+/// evaluated without touching the heap.
+constexpr std::size_t kInlineGroup = 32;
+
 /// Pinning decision for one group: pin processes largest-first while the
-/// instruction memory allows.  Returns pinned flags aligned with `procs`.
-std::vector<bool> pin_selection(const ProcessNetwork& net,
-                                const std::vector<int>& procs,
-                                int imem_words) {
-  std::vector<std::size_t> order(procs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return net.process(procs[a]).insts > net.process(procs[b]).insts;
-  });
-  std::vector<bool> pinned(procs.size(), false);
+/// instruction memory allows; equal sizes keep group order (a stable
+/// insertion sort, which is what std::sort did on groups of <= 16).
+/// `order` is scratch for procs.size() positions; `pinned` receives one
+/// flag per position of `procs`.
+void pin_selection(const ProcessNetwork& net, const std::vector<int>& procs,
+                   int imem_words, int* order, int* pinned) {
+  auto insts_at = [&](int pos) {
+    return net.process(procs[static_cast<std::size_t>(pos)]).insts;
+  };
+  const int n = static_cast<int>(procs.size());
+  for (int i = 0; i < n; ++i) {
+    int j = i;
+    for (; j > 0 && insts_at(order[j - 1]) < insts_at(i); --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = i;
+    pinned[i] = 0;
+  }
   int used = 0;
-  for (std::size_t idx : order) {
-    const int insts = net.process(procs[idx]).insts;
+  for (int k = 0; k < n; ++k) {
+    const int insts = insts_at(order[k]);
     if (used + insts <= imem_words) {
-      pinned[idx] = true;
+      pinned[order[k]] = 1;
       used += insts;
     }
   }
-  return pinned;
 }
 
 GroupEval evaluate_group(const ProcessNetwork& net,
@@ -93,15 +105,27 @@ GroupEval evaluate_group(const ProcessNetwork& net,
     eval.all_pinned = eval.total_insts <= params.imem_words;
     return eval;
   }
-  const std::vector<bool> pinned =
-      params.allow_pinning ? pin_selection(net, procs, params.imem_words)
-                           : std::vector<bool>(procs.size(), false);
-  for (std::size_t i = 0; i < procs.size(); ++i) {
+  // Scratch: the pin order, then one pinned flag per process.
+  const std::size_t n = procs.size();
+  std::array<int, 2 * kInlineGroup> inline_scratch{};
+  std::vector<int> heap_scratch;
+  int* order = inline_scratch.data();
+  if (n > kInlineGroup) {
+    heap_scratch.resize(2 * n);
+    order = heap_scratch.data();
+  }
+  int* pinned = order + n;
+  if (params.allow_pinning) {
+    pin_selection(net, procs, params.imem_words, order, pinned);
+  } else {
+    std::fill(pinned, pinned + n, 0);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     const Process& proc = net.process(procs[i]);
     const double activations = proc.invocations_per_item;
     eval.reconfig_ns +=
         activations * params.icap.data_reload_ns(proc.data3);
-    if (pinned[i]) {
+    if (pinned[i] != 0) {
       eval.pinned_insts += proc.insts;
     } else {
       eval.all_pinned = false;
