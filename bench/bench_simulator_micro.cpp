@@ -55,8 +55,7 @@ BENCHMARK(BM_FabricStepRate64Tiles);
 
 // The observability overhead check: the same 64-tile hot loop with the
 // metrics registry attached (arg 1) vs detached (arg 0).  The attached
-// variant must stay within ~5% of the detached one; building with
-// -DCGRA_OBS_OFF=ON compiles the counter bumps out entirely.
+// variant must stay within ~5% of the detached one.
 void BM_FabricStepRateMetrics(benchmark::State& state) {
   using namespace cgra;
   const bool attached = state.range(0) != 0;

@@ -5,8 +5,8 @@
 // points compiled into the serving stack; a ChaosInjector replays the
 // plan deterministically from its seed.  Wire one injector into
 // ServerOptions / ClientOptions / ServiceOptions to harden-test a
-// deployment, or leave the pointers null for zero-cost production
-// builds (-DCGRA_CHAOS_OFF removes even the null test).
+// deployment, or leave the pointers null for production builds (one
+// null test per hook).
 //
 // See tests/test_chaos.cpp for per-hook examples and
 // bench/bench_chaos_serving.cpp for a full chaos experiment asserting

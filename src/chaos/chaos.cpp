@@ -105,13 +105,14 @@ ChaosInjector::ChaosInjector(ChaosPlan plan) : plan_(std::move(plan)) {
 }
 
 void ChaosInjector::attach_metrics(obs::MetricsRegistry* metrics) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  for (int h = 0; h < kHookCount; ++h) {
-    fired_counters_[static_cast<std::size_t>(h)] = metrics_->counter(
+  std::array<obs::CounterHandle, kHookCount> counters{};
+  for (int h = 0; metrics != nullptr && h < kHookCount; ++h) {
+    counters[static_cast<std::size_t>(h)] = metrics->counter(
         std::string("chaos.fired.") + hook_name(static_cast<Hook>(h)));
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  metrics_ = metrics;
+  fired_counters_ = counters;
 }
 
 void ChaosInjector::attach_tracer(obs::Tracer* tracer) {
@@ -120,7 +121,7 @@ void ChaosInjector::attach_tracer(obs::Tracer* tracer) {
 }
 
 Decision ChaosInjector::decide(Hook hook) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   const auto h = static_cast<std::size_t>(hook);
   const std::int64_t n = ++invocations_[h];
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
@@ -136,9 +137,6 @@ Decision ChaosInjector::decide(Hook hook) {
     if (n < due) continue;
     ++used;
     ++fired_[h];
-    if (metrics_ != nullptr && fired_counters_[h].valid()) {
-      metrics_->add(fired_counters_[h]);
-    }
     if (tracer_ != nullptr) {
       // Trace id 0: a firing belongs to no single request, but anomaly
       // dumps include chaos-fire events alongside the trace's own.
@@ -151,6 +149,10 @@ Decision ChaosInjector::decide(Hook hook) {
     d.a = rule.a;
     d.b = rule.b;
     d.salt = rule_rng_[i].next();
+    obs::MetricsRegistry* const metrics = metrics_;
+    const obs::CounterHandle counter = fired_counters_[h];
+    lock.unlock();
+    if (metrics != nullptr && counter.valid()) metrics->add(counter);
     return d;
   }
   return {};

@@ -17,9 +17,7 @@
 // interleaving-independent.
 //
 // Zero cost when disabled: every hook site calls chaos::decide(inj, h)
-// which is a single null-pointer test when no injector is wired, and
-// compiles to nothing under -DCGRA_CHAOS_OFF (the same escape hatch
-// pattern as CGRA_OBS_OFF in obs/metrics.hpp).
+// which is a single null-pointer test when no injector is wired.
 #pragma once
 
 #include <array>
@@ -188,17 +186,10 @@ class ChaosInjector {
 };
 
 /// The hook entry point every call site uses.  One predictable branch
-/// when chaos is wired off (`inj == nullptr`), nothing at all under
-/// -DCGRA_CHAOS_OFF.
+/// when chaos is wired off (`inj == nullptr`).
 [[nodiscard]] inline Decision decide(ChaosInjector* inj, Hook hook) {
-#ifdef CGRA_CHAOS_OFF
-  (void)inj;
-  (void)hook;
-  return {};
-#else
   if (inj == nullptr) return {};
   return inj->decide(hook);
-#endif
 }
 
 /// Apply a frame-level decision (kCorruptByte / kTruncate) to wire

@@ -30,6 +30,8 @@ bool readback_matches(const fabric::Tile& tile, const TileUpdate& update) {
   return true;
 }
 
+}  // namespace
+
 void record_recovery(fabric::Fabric& fabric, obs::SpanTimeline* spans,
                      int tile, fabric::RecoveryAction action, int attempt) {
   if (spans != nullptr) {
@@ -48,8 +50,6 @@ void record_recovery(fabric::Fabric& fabric, obs::SpanTimeline* spans,
   ev.attempt = attempt;
   fabric.tracer()->record(ev);
 }
-
-}  // namespace
 
 Nanoseconds ReconfigController::stream_tile(fabric::Fabric& fabric,
                                             int tile_index,

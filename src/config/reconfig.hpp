@@ -191,6 +191,13 @@ fabric::RunResult run_epoch(fabric::Fabric& fabric, ReconfigController& ctrl,
                             const EpochConfig& epoch, std::int64_t max_cycles,
                             Timeline& timeline);
 
+/// Record one recovery step on `tile`: a `recovery:<action>` instant on
+/// `spans` (when given) and a kRecovery event on the fabric's tracer (when
+/// attached).  The controller's ICAP retries and faults::RecoveryManager
+/// both trace through this.
+void record_recovery(fabric::Fabric& fabric, obs::SpanTimeline* spans,
+                     int tile, fabric::RecoveryAction action, int attempt);
+
 /// Convenience driver: run a sequence of epochs to completion on a fabric,
 /// applying transitions between them and accumulating the Equation-1 terms.
 ///

@@ -53,7 +53,7 @@ struct ExecAccess {
     if (f.active_dirty_) f.compact_active();
   }
 
-  // --- metrics (no-ops when no registry is attached / CGRA_OBS_OFF) ---
+  // --- metrics (no-ops when no registry is attached) ---
   static void add_skipped_cycles(Fabric& f, std::int64_t n) {
     if (f.metrics_ != nullptr) f.metrics_->add(f.m_cycles_, n);
   }

@@ -46,25 +46,6 @@ RecoveryManager::RecoveryManager(fabric::Fabric& fabric,
                                  RecoveryPolicy policy)
     : fabric_(fabric), ctrl_(ctrl), injector_(injector), policy_(policy) {}
 
-void RecoveryManager::trace(int tile, fabric::RecoveryAction action,
-                            int attempt) const {
-  if (obs::SpanTimeline* spans = ctrl_.timeline(); spans != nullptr) {
-    spans->instant(
-        std::string("recovery:") + fabric::recovery_action_name(action),
-        "recovery", obs::tile_track(tile), cycles_to_ns(fabric_.now()),
-        {{"tile", std::to_string(tile), true},
-         {"attempt", std::to_string(attempt), true}});
-  }
-  if (fabric_.tracer() == nullptr) return;
-  fabric::TraceEvent ev;
-  ev.cycle = fabric_.now();
-  ev.kind = fabric::TraceEventKind::kRecovery;
-  ev.tile = tile;
-  ev.action = action;
-  ev.attempt = attempt;
-  fabric_.tracer()->record(ev);
-}
-
 fabric::RunResult RecoveryManager::run_with_injection(std::int64_t budget,
                                                       RecoveryReport& report) {
   fabric::RunResult total;
@@ -150,8 +131,9 @@ RecoveryReport RecoveryManager::run_item(
     rep.status = std::move(why);
     rep.evacuated_tiles.assign(evacuated.begin(), evacuated.end());
     if (!rep.unrecovered.empty()) {
-      trace(rep.unrecovered.front().tile, fabric::RecoveryAction::kGiveUp,
-            retries_here);
+      config::record_recovery(fabric_, ctrl_.timeline(),
+                              rep.unrecovered.front().tile,
+                              fabric::RecoveryAction::kGiveUp, retries_here);
     }
     return rep;
   };
@@ -321,7 +303,9 @@ RecoveryReport RecoveryManager::run_item(
       furthest = resume;  // new schedule: indices beyond here are fresh
       retries_here = 0;
       ++rep.rebalances;
-      trace(ckpt.tile, fabric::RecoveryAction::kRebalance, rep.rebalances);
+      config::record_recovery(fabric_, ctrl_.timeline(), ckpt.tile,
+                              fabric::RecoveryAction::kRebalance,
+                              rep.rebalances);
       continue;
     }
 
@@ -358,7 +342,8 @@ RecoveryReport RecoveryManager::run_item(
     const auto& impl = library.at(ckpt.pid);
     write_block(fabric_.tile(ckpt.tile), impl.in_base, ckpt.block);
     ++rep.rollbacks;
-    trace(ckpt.tile, fabric::RecoveryAction::kRollback, retries_here);
+    config::record_recovery(fabric_, ctrl_.timeline(), ckpt.tile,
+                            fabric::RecoveryAction::kRollback, retries_here);
     idx = ckpt.epoch;
   }
 

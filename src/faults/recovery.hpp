@@ -131,8 +131,6 @@ class RecoveryManager {
   fabric::RunResult run_with_injection(std::int64_t budget,
                                       RecoveryReport& report);
 
-  void trace(int tile, fabric::RecoveryAction action, int attempt) const;
-
   fabric::Fabric& fabric_;
   config::ReconfigController& ctrl_;
   FaultInjector* injector_;

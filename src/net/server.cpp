@@ -136,7 +136,6 @@ void Server::count_close(Connection* conn) {
   if (conn->close_reason < 0) {
     conn->close_reason = static_cast<int>(CloseReason::kDrain);
   }
-  std::lock_guard<std::mutex> obs(obs_mu_);
   metrics_.add(closed_);
   metrics_.add(closed_reason_[static_cast<std::size_t>(conn->close_reason)]);
 }
@@ -180,7 +179,6 @@ Server::Server(service::Service* service, ServerOptions opt)
   if (opt_.chaos != nullptr) opt_.chaos->attach_tracer(tracer_);
   admission_tokens_ = static_cast<double>(opt_.admission_burst);
   admission_refill_ = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> obs(obs_mu_);
   accepted_ = metrics_.counter("net.connections.accepted");
   refused_ = metrics_.counter("net.connections.refused");
   closed_ = metrics_.counter("net.connections.closed");
@@ -253,11 +251,8 @@ Status Server::start() {
       return Status::errorf("epoll_ctl(wake) failed: %s",
                             std::strerror(errno));
     }
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      shard->conn_gauge = metrics_.gauge("net.shard." + std::to_string(i) +
-                                         ".connections");
-    }
+    shard->conn_gauge = metrics_.gauge("net.shard." + std::to_string(i) +
+                                       ".connections");
     shards_.push_back(std::move(shard));
   }
   started_ = true;
@@ -289,7 +284,6 @@ void Server::stop() {
 }
 
 std::int64_t Server::counter(std::string_view name) const {
-  std::lock_guard<std::mutex> obs(obs_mu_);
   return metrics_.counter_value(name);
 }
 
@@ -300,7 +294,6 @@ obs::HistogramHandle Server::latency_histogram(MsgType type) const {
 }
 
 std::vector<obs::MetricSample> Server::metrics_samples() const {
-  std::lock_guard<std::mutex> obs(obs_mu_);
   auto samples = metrics_.samples();
   // Percentile gauges from the latency histograms: remote stats readers
   // get p50/p90/p99 without shipping the raw buckets over the wire.
@@ -364,9 +357,7 @@ void Server::close_conn(const std::shared_ptr<Shard>& shard,
   count_close(conn.get());
   open_conns_.fetch_sub(1, std::memory_order_relaxed);
   shard->conns.erase(conn->fd);
-  std::lock_guard<std::mutex> obs(obs_mu_);
-  metrics_.set(shard->conn_gauge,
-               static_cast<double>(shard->conns.size()));
+  metrics_.set(shard->conn_gauge, static_cast<double>(shard->conns.size()));
 }
 
 void Server::begin_drain(const std::shared_ptr<Shard>& shard,
@@ -482,11 +473,8 @@ bool Server::send_reply(const std::shared_ptr<Shard>& shard,
     return false;
   }
   conn->wq_bytes += bytes.size();
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(replies_);
-    metrics_.add(bytes_out_, static_cast<std::int64_t>(bytes.size()));
-  }
+  metrics_.add(replies_);
+  metrics_.add(bytes_out_, static_cast<std::int64_t>(bytes.size()));
   conn->wq.push_back(std::move(bytes));
   return flush_writes(shard, conn);
 }
@@ -508,11 +496,8 @@ void Server::pump_replies(const std::shared_ptr<Shard>& shard,
       const Status enc = encode_job_result(req, result, &bytes);
       if (!enc.ok()) bytes = encode_error(front.request_id, enc.message());
       const Nanoseconds dur = now_ns() - front.start_ns;
-      {
-        std::lock_guard<std::mutex> obs(obs_mu_);
-        if (!result.status.ok()) metrics_.add(errors_);
-        metrics_.observe(latency_histogram(front.request_type), dur / 1e6);
-      }
+      if (!result.status.ok()) metrics_.add(errors_);
+      metrics_.observe(latency_histogram(front.request_type), dur / 1e6);
       if (front.trace.valid()) {
         const Nanoseconds tdur =
             obs::trace_clock_ns() - front.trace_start_ns;
@@ -549,12 +534,9 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
   }
   const Nanoseconds start = now_ns();
   const Nanoseconds trace_start = obs::trace_clock_ns();
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(requests_);
-    metrics_.add(bytes_in_, static_cast<std::int64_t>(
-                                kHeaderSize + frame.payload.size()));
-  }
+  metrics_.add(requests_);
+  metrics_.add(bytes_in_,
+               static_cast<std::int64_t>(kHeaderSize + frame.payload.size()));
   const auto queue_ready = [&](std::vector<std::uint8_t> bytes) {
     Connection::Pending p;
     p.ready = std::move(bytes);
@@ -563,10 +545,7 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
   const auto queue_error = [&](std::uint64_t request_id,
                                std::string_view message,
                                StatusCode code = StatusCode::kError) {
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(errors_);
-    }
+    metrics_.add(errors_);
     queue_ready(encode_error(request_id, message, code));
   };
   Request req;
@@ -623,10 +602,7 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
     }
     default: {  // job request
       if (conn->inflight >= opt_.max_inflight_per_connection) {
-        {
-          std::lock_guard<std::mutex> obs(obs_mu_);
-          metrics_.add(conn_backpressure_);
-        }
+        metrics_.add(conn_backpressure_);
         queue_error(req.request_id,
                     "connection in-flight limit reached; drain replies "
                     "before sending more jobs");
@@ -639,17 +615,13 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
       if (req.options.idempotency_id != 0) {
         handle = cached_reply(req.options.idempotency_id);
         if (handle != nullptr) {
-          std::lock_guard<std::mutex> obs(obs_mu_);
           metrics_.add(idempotent_hits_);
         }
       }
       // Admission control: retries of remembered work pass (they cost
       // nothing); fresh submissions spend a token or get shed visibly.
       if (handle == nullptr && !admission_allow()) {
-        {
-          std::lock_guard<std::mutex> obs(obs_mu_);
-          metrics_.add(admission_shed_);
-        }
+        metrics_.add(admission_shed_);
         if (req.options.trace.valid()) {
           tracer_->note_anomaly(req.options.trace, obs::AnomalyReason::kError,
                                 "admission control shed the request");
@@ -670,15 +642,11 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
                            obs::FlightEventKind::kDeadlineCheck, 0,
                            req.options.deadline_ms);
           }
-          std::lock_guard<std::mutex> obs(obs_mu_);
           metrics_.add(deadline_submits_);
         }
         auto submit = service_->submit(std::move(req.job), sopt);
         if (!submit.accepted()) {
-          {
-            std::lock_guard<std::mutex> obs(obs_mu_);
-            metrics_.add(service_backpressure_);
-          }
+          metrics_.add(service_backpressure_);
           queue_error(req.request_id, submit.status.message(),
                       submit.status.code());
           break;
@@ -738,10 +706,7 @@ bool Server::pump_reads(const std::shared_ptr<Shard>& shard,
         // Framing desync: no reply possible, close (flushing what is
         // already queued).
         note_close(conn.get(), CloseReason::kMalformed);
-        {
-          std::lock_guard<std::mutex> obs(obs_mu_);
-          metrics_.add(malformed_);
-        }
+        metrics_.add(malformed_);
         begin_drain(shard, conn);
         pump_replies(shard, conn);
         return false;
@@ -786,7 +751,6 @@ bool Server::pump_reads(const std::shared_ptr<Shard>& shard,
       // EOF: clean at a frame boundary, malformed mid-frame.
       if (conn->rbuf.size() - conn->rpos > 0) {
         note_close(conn.get(), CloseReason::kMalformed);
-        std::lock_guard<std::mutex> obs(obs_mu_);
         metrics_.add(malformed_);
       } else {
         note_close(conn.get(), CloseReason::kPeerEof);
@@ -801,10 +765,7 @@ bool Server::pump_reads(const std::shared_ptr<Shard>& shard,
       break;
     }
     note_close(conn.get(), CloseReason::kMalformed);
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(malformed_);
-    }
+    metrics_.add(malformed_);
     begin_drain(shard, conn);
     pump_replies(shard, conn);
     return false;
@@ -829,14 +790,12 @@ void Server::accept_loop() {
       // Injected accept failure: to the client this is indistinguishable
       // from a crash between accept and the first read.
       ::close(fd);
-      std::lock_guard<std::mutex> obs(obs_mu_);
       metrics_.add(refused_);
       continue;
     }
     if (open_conns_.load(std::memory_order_relaxed) >= opt_.max_connections ||
         !set_nonblocking(fd).ok()) {
       ::close(fd);
-      std::lock_guard<std::mutex> obs(obs_mu_);
       metrics_.add(refused_);
       continue;
     }
@@ -847,10 +806,7 @@ void Server::accept_loop() {
     // Count before handing off: a health frame served right away on the
     // shard must already see this connection.
     open_conns_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(accepted_);
-    }
+    metrics_.add(accepted_);
     Shard* shard =
         shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) %
                 shards_.size()]
@@ -891,11 +847,7 @@ void Server::shard_loop(const std::shared_ptr<Shard>& shard) {
         continue;
       }
       shard->conns.emplace(conn->fd, conn);
-      {
-        std::lock_guard<std::mutex> obs(obs_mu_);
-        metrics_.set(shard->conn_gauge,
-                     static_cast<double>(shard->conns.size()));
-      }
+      metrics_.set(shard->conn_gauge, static_cast<double>(shard->conns.size()));
       // Bytes may have arrived before registration; probe immediately.
       conn->read_ready = true;
       push_ready(shard.get(), conn);
@@ -992,7 +944,6 @@ void Server::shard_loop(const std::shared_ptr<Shard>& shard) {
       for (auto& [conn, reason] : victims) {
         note_close(conn.get(), reason);
         if (reason == CloseReason::kMalformed) {
-          std::lock_guard<std::mutex> obs(obs_mu_);
           metrics_.add(malformed_);
         }
         begin_drain(shard, conn);

@@ -156,7 +156,8 @@ class Server {
 
   /// Server-side counters (net.*).  The samples include count and
   /// p50/p90/p99 gauges derived from the per-request-type latency
-  /// histograms (net.latency_ms.<type>.count, .p50 ...).
+  /// histograms (net.latency_ms.<type>.count, .p50 ...).  Both are
+  /// callable from any thread while the server runs.
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
   [[nodiscard]] std::vector<obs::MetricSample> metrics_samples() const;
 
@@ -251,7 +252,8 @@ class Server {
   std::unordered_map<std::uint64_t, service::JobHandle> reply_cache_;
   std::deque<std::uint64_t> reply_cache_order_;
 
-  mutable std::mutex obs_mu_;
+  /// Registered in the constructor and start(), before any shard or
+  /// acceptor thread runs; updated lock-free from all of them.
   obs::MetricsRegistry metrics_;
   obs::CounterHandle accepted_;
   obs::CounterHandle refused_;

@@ -21,7 +21,7 @@ CounterHandle MetricsRegistry::counter(std::string_view name) {
     return CounterHandle{i};
   }
   counter_names_.emplace_back(name);
-  counters_.push_back(0);
+  counters_.emplace_back(0);
   return CounterHandle{static_cast<std::int32_t>(counters_.size() - 1)};
 }
 
@@ -30,7 +30,7 @@ GaugeHandle MetricsRegistry::gauge(std::string_view name) {
     return GaugeHandle{i};
   }
   gauge_names_.emplace_back(name);
-  gauges_.push_back(0.0);
+  gauges_.emplace_back(0.0);
   return GaugeHandle{static_cast<std::int32_t>(gauges_.size() - 1)};
 }
 
@@ -47,30 +47,30 @@ HistogramHandle MetricsRegistry::histogram(std::string_view name,
           upper_bounds.end()) {
     return HistogramHandle{};  // invalid: bounds must be strictly ascending
   }
-  Histogram h;
-  h.name = std::string(name);
-  h.counts.assign(upper_bounds.size() + 1, 0);
-  h.bounds = std::move(upper_bounds);
-  hists_.push_back(std::move(h));
+  hists_.emplace_back(name, std::move(upper_bounds));
   return HistogramHandle{static_cast<std::int32_t>(hists_.size() - 1)};
 }
 
-void MetricsRegistry::observe_slow(HistogramHandle h, double value) noexcept {
+void MetricsRegistry::observe(HistogramHandle h, double value) noexcept {
   if (!h.valid()) return;
   Histogram& hist = hists_[static_cast<std::size_t>(h.index)];
   const auto it =
       std::lower_bound(hist.bounds.begin(), hist.bounds.end(), value);
-  hist.counts[static_cast<std::size_t>(it - hist.bounds.begin())] += 1;
-  hist.total += 1;
-  hist.sum += value;
+  hist.counts[static_cast<std::size_t>(it - hist.bounds.begin())].fetch_add(
+      1, std::memory_order_relaxed);
+  hist.sum.fetch_add(value, std::memory_order_relaxed);
 }
 
 std::int64_t MetricsRegistry::counter_value(CounterHandle h) const {
-  return h.valid() ? counters_[static_cast<std::size_t>(h.index)] : 0;
+  return h.valid() ? counters_[static_cast<std::size_t>(h.index)].load(
+                        std::memory_order_relaxed)
+                   : 0;
 }
 
 double MetricsRegistry::gauge_value(GaugeHandle h) const {
-  return h.valid() ? gauges_[static_cast<std::size_t>(h.index)] : 0.0;
+  return h.valid() ? gauges_[static_cast<std::size_t>(h.index)].load(
+                        std::memory_order_relaxed)
+                   : 0.0;
 }
 
 HistogramSnapshot MetricsRegistry::histogram_snapshot(
@@ -80,31 +80,36 @@ HistogramSnapshot MetricsRegistry::histogram_snapshot(
   const Histogram& hist = hists_[static_cast<std::size_t>(h.index)];
   snap.name = hist.name;
   snap.bounds = hist.bounds;
-  snap.counts = hist.counts;
-  snap.total = hist.total;
-  snap.sum = hist.sum;
+  // `total` comes from the counts read here, not a separate atomic, so
+  // quantiles over a snapshot taken mid-update stay self-consistent.
+  snap.counts.reserve(hist.counts.size());
+  for (const auto& c : hist.counts) {
+    snap.counts.push_back(c.load(std::memory_order_relaxed));
+    snap.total += snap.counts.back();
+  }
+  snap.sum = hist.sum.load(std::memory_order_relaxed);
   return snap;
 }
 
 std::int64_t MetricsRegistry::counter_value(std::string_view name) const {
-  const std::int32_t i = find(counter_names_, name);
-  return i >= 0 ? counters_[static_cast<std::size_t>(i)] : 0;
+  return counter_value(CounterHandle{find(counter_names_, name)});
 }
 
 double MetricsRegistry::gauge_value(std::string_view name) const {
-  const std::int32_t i = find(gauge_names_, name);
-  return i >= 0 ? gauges_[static_cast<std::size_t>(i)] : 0.0;
+  return gauge_value(GaugeHandle{find(gauge_names_, name)});
 }
 
 std::vector<MetricSample> MetricsRegistry::samples() const {
   std::vector<MetricSample> out;
   out.reserve(counters_.size() + gauges_.size());
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    out.push_back(MetricSample{counter_names_[i], true,
-                               static_cast<double>(counters_[i])});
+    out.push_back(MetricSample{
+        counter_names_[i], true,
+        static_cast<double>(counters_[i].load(std::memory_order_relaxed))});
   }
   for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    out.push_back(MetricSample{gauge_names_[i], false, gauges_[i]});
+    out.push_back(MetricSample{gauge_names_[i], false,
+                               gauges_[i].load(std::memory_order_relaxed)});
   }
   return out;
 }
@@ -120,32 +125,39 @@ std::vector<HistogramSnapshot> MetricsRegistry::histograms() const {
 }
 
 void MetricsRegistry::reset_values() {
-  std::fill(counters_.begin(), counters_.end(), 0);
-  std::fill(gauges_.begin(), gauges_.end(), 0.0);
+  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
+  for (auto& g : gauges_) g.store(0.0, std::memory_order_relaxed);
   for (Histogram& h : hists_) {
-    std::fill(h.counts.begin(), h.counts.end(), 0);
-    h.total = 0;
-    h.sum = 0.0;
+    for (auto& c : h.counts) c.store(0, std::memory_order_relaxed);
+    h.sum.store(0.0, std::memory_order_relaxed);
   }
 }
 
 std::string MetricsRegistry::to_json() const {
+  // Exporters read through samples()/histograms(), the same relaxed
+  // snapshot every other reader gets.
+  const std::vector<MetricSample> all = samples();
   std::ostringstream os;
-  os << "{\"counters\":{";
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << '"' << json_escape(counter_names_[i]) << "\":" << counters_[i];
-  }
-  os << "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << '"' << json_escape(gauge_names_[i])
-       << "\":" << json_number(gauges_[i]);
+  for (const bool counters : {true, false}) {
+    os << (counters ? "{\"counters\":{" : "},\"gauges\":{");
+    bool first = true;
+    for (const MetricSample& m : all) {
+      if (m.is_counter != counters) continue;
+      if (!first) os << ',';
+      first = false;
+      os << '"' << json_escape(m.name) << "\":";
+      if (counters) {
+        os << static_cast<std::int64_t>(m.value);
+      } else {
+        os << json_number(m.value);
+      }
+    }
   }
   os << "},\"histograms\":[";
-  for (std::size_t i = 0; i < hists_.size(); ++i) {
-    const Histogram& h = hists_[i];
-    if (i != 0) os << ',';
+  bool first = true;
+  for (const HistogramSnapshot& h : histograms()) {
+    if (!first) os << ',';
+    first = false;
     os << "{\"name\":\"" << json_escape(h.name) << "\",\"bounds\":[";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b != 0) os << ',';
@@ -166,14 +178,15 @@ std::string MetricsRegistry::to_json() const {
 std::string MetricsRegistry::to_csv() const {
   std::ostringstream os;
   os << "kind,name,value\n";
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << "counter," << counter_names_[i] << ',' << counters_[i] << '\n';
+  for (const MetricSample& m : samples()) {
+    if (m.is_counter) {
+      os << "counter," << m.name << ',' << static_cast<std::int64_t>(m.value)
+         << '\n';
+    } else {
+      os << "gauge," << m.name << ',' << json_number(m.value) << '\n';
+    }
   }
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    os << "gauge," << gauge_names_[i] << ',' << json_number(gauges_[i])
-       << '\n';
-  }
-  for (const Histogram& h : hists_) {
+  for (const HistogramSnapshot& h : histograms()) {
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
       os << "histogram," << h.name << "_le_";
       if (b < h.bounds.size()) {
@@ -195,7 +208,7 @@ std::string MetricsRegistry::to_table() const {
                        ? TextTable::integer(static_cast<long long>(s.value))
                        : TextTable::num(s.value)});
   }
-  for (const Histogram& h : hists_) {
+  for (const HistogramSnapshot& h : histograms()) {
     table.add_row({h.name, "histogram",
                    TextTable::integer(h.total) + " obs, sum " +
                        TextTable::num(h.sum)});

@@ -1,21 +1,24 @@
-// Low-overhead metrics registry for the fabric hot loop.
+// Low-overhead metrics registry for the fabric hot loop and the serving
+// stack.
 //
 // Design contract (docs/OBSERVABILITY.md):
-//   * Handles are resolved ONCE (by name, O(log n)) at attach time; after
-//     that every update is a single bounds-unchecked array operation on a
-//     dense value vector — the fabric step loop pays one add per counter.
-//   * The registry is deliberately concurrency-free: the simulator is
-//     single-threaded per fabric, so no atomics, no locks, no false
-//     sharing.  Sharded fabrics get one registry each and merge offline.
-//   * Compiling with -DCGRA_OBS_OFF turns every update into an empty
-//     inline function: the escape hatch for overhead-critical sweeps,
-//     benchmarked by bench_simulator_micro.  Registration and readout keep
-//     working so harness code needs no #ifdefs.
+//   * Handles are resolved ONCE (by name) at attach time; after that every
+//     update is one relaxed atomic operation on the metric's slot — the
+//     fabric step loop pays one add per counter.
+//   * Register before the registry is shared, then update and read from
+//     any thread.  Registration (counter/gauge/histogram) is not
+//     thread-safe; add/set/observe and every readout are, with no lock:
+//     values live in deques of atomics, so a slot never moves once
+//     registered.  Readouts are relaxed loads: each value is exact, a
+//     multi-metric readout is not one instant.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace cgra::obs {
@@ -45,7 +48,7 @@ struct HistogramSnapshot {
   std::string name;
   std::vector<double> bounds;       ///< Ascending upper bounds.
   std::vector<std::int64_t> counts; ///< bounds.size() + 1 entries.
-  std::int64_t total = 0;           ///< Total observations.
+  std::int64_t total = 0;           ///< Sum of `counts`.
   double sum = 0.0;                 ///< Sum of observed values.
 };
 
@@ -59,7 +62,12 @@ struct MetricSample {
 /// Registry of counters, gauges and fixed-bucket histograms.
 class MetricsRegistry {
  public:
-  /// Find-or-create by name.  Call once, keep the handle.
+  MetricsRegistry() = default;
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Find-or-create by name.  Call once, before the registry is shared,
+  /// and keep the handle.
   CounterHandle counter(std::string_view name);
   GaugeHandle gauge(std::string_view name);
   /// `upper_bounds` must be non-empty and strictly ascending; an implicit
@@ -68,34 +76,19 @@ class MetricsRegistry {
   HistogramHandle histogram(std::string_view name,
                             std::vector<double> upper_bounds);
 
-  // --- hot path: one array op each, compiled out under CGRA_OBS_OFF ---
+  // --- hot path: one relaxed atomic op each ---
 
   void add(CounterHandle h, std::int64_t delta = 1) noexcept {
-#ifndef CGRA_OBS_OFF
-    counters_[static_cast<std::size_t>(h.index)] += delta;
-#else
-    (void)h;
-    (void)delta;
-#endif
+    counters_[static_cast<std::size_t>(h.index)].fetch_add(
+        delta, std::memory_order_relaxed);
   }
 
   void set(GaugeHandle h, double value) noexcept {
-#ifndef CGRA_OBS_OFF
-    gauges_[static_cast<std::size_t>(h.index)] = value;
-#else
-    (void)h;
-    (void)value;
-#endif
+    gauges_[static_cast<std::size_t>(h.index)].store(
+        value, std::memory_order_relaxed);
   }
 
-  void observe(HistogramHandle h, double value) noexcept {
-#ifndef CGRA_OBS_OFF
-    observe_slow(h, value);
-#else
-    (void)h;
-    (void)value;
-#endif
-  }
+  void observe(HistogramHandle h, double value) noexcept;
 
   // --- readout ---
 
@@ -116,7 +109,8 @@ class MetricsRegistry {
     return counter_names_.size() + gauge_names_.size() + hists_.size();
   }
 
-  /// Zero all values; definitions and handles stay valid.
+  /// Zero all values; definitions and handles stay valid.  Updates that
+  /// race with the reset may land on either side of it.
   void reset_values();
 
   // --- exporters ---
@@ -130,22 +124,22 @@ class MetricsRegistry {
 
  private:
   struct Histogram {
+    Histogram(std::string_view n, std::vector<double> b)
+        : name(n), bounds(std::move(b)), counts(bounds.size() + 1) {}
     std::string name;
     std::vector<double> bounds;
-    std::vector<std::int64_t> counts;  ///< bounds.size() + 1.
-    std::int64_t total = 0;
-    double sum = 0.0;
+    std::vector<std::atomic<std::int64_t>> counts;  ///< bounds.size() + 1.
+    std::atomic<double> sum{0.0};
   };
 
-  void observe_slow(HistogramHandle h, double value) noexcept;
   static std::int32_t find(const std::vector<std::string>& names,
                            std::string_view name);
 
   std::vector<std::string> counter_names_;
-  std::vector<std::int64_t> counters_;
+  std::deque<std::atomic<std::int64_t>> counters_;
   std::vector<std::string> gauge_names_;
-  std::vector<double> gauges_;
-  std::vector<Histogram> hists_;
+  std::deque<std::atomic<double>> gauges_;
+  std::deque<Histogram> hists_;
 };
 
 /// Quantile estimate (q in [0,1]) from a histogram snapshot by linear

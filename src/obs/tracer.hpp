@@ -11,11 +11,10 @@
 //
 // The flight recorder is a fixed-size lock-free ring of compact events
 // (enqueue, lease, batch-attach, chaos fire, retry, deadline check):
-// ~one atomic RMW per event on the hot path, compiled out entirely
-// under -DCGRA_OBS_OFF.  When a job ends abnormally (deadline exceeded,
-// crash-resume, breaker open) or lands in the slowest-p99 reservoir,
-// the ring is snapshotted into an AnomalyRecord and annotated into the
-// trace — tail-latency exemplars for free.  docs/OBSERVABILITY.md has
+// ~one atomic RMW per event on the hot path.  When a job ends
+// abnormally (deadline exceeded, crash-resume, breaker open) or lands in
+// the slowest-p99 reservoir, the ring is snapshotted into an
+// AnomalyRecord and annotated into the trace — tail-latency exemplars for free.  docs/OBSERVABILITY.md has
 // the Perfetto walkthrough.
 #pragma once
 
@@ -102,8 +101,7 @@ struct AnomalyRecord {
 /// Fixed-size lock-free ring of flight events.  Writers pay one relaxed
 /// fetch_add plus plain (relaxed) field stores; a per-slot sequence word
 /// lets snapshot() discard slots that were mid-overwrite, so concurrent
-/// readers never see torn events.  Under CGRA_OBS_OFF record() is an
-/// empty inline function and the ring stores nothing.
+/// readers never see torn events.
 class FlightRing {
  public:
   /// `capacity` is rounded up to a power of two (min 8).
@@ -111,7 +109,6 @@ class FlightRing {
 
   void record(std::uint64_t trace_id, FlightEventKind kind, std::uint16_t code,
               std::uint32_t arg, Nanoseconds t_ns) noexcept {
-#ifndef CGRA_OBS_OFF
     const std::uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& s = slots_[i & mask_];
     s.seq.store(0, std::memory_order_release);  // mark in-flight
@@ -123,13 +120,6 @@ class FlightRing {
                        static_cast<std::uint64_t>(arg),
                    std::memory_order_relaxed);
     s.seq.store(i + 1, std::memory_order_release);
-#else
-    (void)trace_id;
-    (void)kind;
-    (void)code;
-    (void)arg;
-    (void)t_ns;
-#endif
   }
 
   /// Committed events still resident, oldest first.  Slots being
@@ -181,17 +171,10 @@ class Tracer {
   void instant(int track, std::string name, const TraceContext& ctx,
                Nanoseconds at_ns, std::vector<SpanArg> extra_args = {});
 
-  /// Hot path: one flight-ring event.  Nothing under CGRA_OBS_OFF.
+  /// Hot path: one flight-ring event.
   void event(const TraceContext& ctx, FlightEventKind kind,
              std::uint16_t code = 0, std::uint32_t arg = 0) noexcept {
-#ifndef CGRA_OBS_OFF
     ring_.record(ctx.trace_id, kind, code, arg, trace_clock_ns());
-#else
-    (void)ctx;
-    (void)kind;
-    (void)code;
-    (void)arg;
-#endif
   }
 
   /// Feed the slowest-p99 reservoir; a completion slower than the

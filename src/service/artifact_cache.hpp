@@ -12,8 +12,8 @@
 // serialise the worker pool); if two threads race on the same key both
 // build, the first insert wins and the loser's copy is dropped — safe
 // because builders are pure.  Hit/miss counters land in the attached
-// obs::MetricsRegistry (cache.hit / cache.miss), guarded by the cache
-// mutex since the registry itself is single-threaded by design.
+// obs::MetricsRegistry (cache.hit / cache.miss), counted outside the cache
+// mutex: the registry is thread-safe on its own.
 #pragma once
 
 #include <array>
@@ -67,8 +67,8 @@ class ArtifactCache {
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
   /// Route hit/miss counters to `metrics` (not owned; nullptr detaches).
+  /// Call before the cache is shared.
   void attach_metrics(obs::MetricsRegistry* metrics) {
-    std::lock_guard<std::mutex> lock(mu_);
     metrics_ = metrics;
     if (metrics_ != nullptr) {
       hits_ = metrics_->counter("cache.hit");
@@ -81,15 +81,14 @@ class ArtifactCache {
   template <typename T, typename Builder>
   std::shared_ptr<const T> get_or_build(const std::string& key,
                                         Builder&& build) {
+    std::shared_ptr<const void> found;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const auto it = map_.find(key);
-      if (it != map_.end()) {
-        count(hits_);
-        return std::static_pointer_cast<const T>(it->second);
-      }
-      count(misses_);
+      if (it != map_.end()) found = it->second;
     }
+    count(found != nullptr ? hits_ : misses_);
+    if (found != nullptr) return std::static_pointer_cast<const T>(found);
     auto built = std::make_shared<const T>(build());
     std::lock_guard<std::mutex> lock(mu_);
     const auto [it, inserted] = map_.emplace(key, built);

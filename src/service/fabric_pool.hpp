@@ -75,9 +75,9 @@ class FabricPool {
     std::unique_ptr<fabric::Fabric> fabric_;
   };
 
-  /// Route reuse/construction counters to `metrics` (not owned).
+  /// Route reuse/construction counters to `metrics` (not owned).  Call
+  /// before the pool is shared.
   void attach_metrics(obs::MetricsRegistry* metrics) {
-    std::lock_guard<std::mutex> lock(mu_);
     metrics_ = metrics;
     if (metrics_ != nullptr) {
       reused_ = metrics_->counter("pool.acquire.reused");
@@ -106,12 +106,13 @@ class FabricPool {
     if (!shape.free.empty()) {
       auto fab = std::move(shape.free.back());
       shape.free.pop_back();
+      lock.unlock();
       count(reused_);
       return Lease(this, std::move(fab));
     }
     ++shape.total;
-    count(constructed_);
     lock.unlock();  // construction is the expensive part; don't serialise it
+    count(constructed_);
     return Lease(this, std::make_unique<fabric::Fabric>(rows, cols));
   }
 

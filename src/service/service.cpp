@@ -87,20 +87,18 @@ Service::Service(ServiceOptions opt)
   if (chaos_ != nullptr && tracer_ != nullptr) {
     chaos_->attach_tracer(tracer_);
   }
-  {
-    std::lock_guard<std::mutex> lock(obs_mu_);
-    submitted_ = metrics_.counter("service.jobs.submitted");
-    rejected_ = metrics_.counter("service.jobs.rejected");
-    completed_ = metrics_.counter("service.jobs.completed");
-    failed_ = metrics_.counter("service.jobs.failed");
-    cancelled_ = metrics_.counter("service.jobs.cancelled");
-    expired_ = metrics_.counter("service.jobs.deadline_expired");
-    batches_ = metrics_.counter("service.batches");
-    crashes_ = metrics_.counter("service.worker.crashes");
-    lease_retries_ = metrics_.counter("service.lease.retries");
-    batch_size_ = metrics_.histogram("service.batch.size",
-                                     {1.0, 2.0, 4.0, 8.0, 16.0});
-  }
+  // Every metric registers here, before the workers share the registry.
+  submitted_ = metrics_.counter("service.jobs.submitted");
+  rejected_ = metrics_.counter("service.jobs.rejected");
+  completed_ = metrics_.counter("service.jobs.completed");
+  failed_ = metrics_.counter("service.jobs.failed");
+  cancelled_ = metrics_.counter("service.jobs.cancelled");
+  expired_ = metrics_.counter("service.jobs.deadline_expired");
+  batches_ = metrics_.counter("service.batches");
+  crashes_ = metrics_.counter("service.worker.crashes");
+  lease_retries_ = metrics_.counter("service.lease.retries");
+  batch_size_ = metrics_.histogram("service.batch.size",
+                                   {1.0, 2.0, 4.0, 8.0, 16.0});
   cache_.attach_metrics(&metrics_);
   pool_.attach_metrics(&metrics_);
   pool_.attach_chaos(chaos_);
@@ -119,29 +117,27 @@ SubmitResult Service::submit(JobRequest request, SubmitOptions options) {
   state->trace = options.trace;
   state->trace_queued_ns = obs::trace_clock_ns();
   std::size_t depth = 0;
+  Status refused;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(rejected_);
-      return {nullptr, Status::error("service is shut down")};
+      refused = Status::error("service is shut down");
+    } else if (queue_.size() >=
+               static_cast<std::size_t>(opt_.queue_capacity)) {
+      refused = Status::errorf("service saturated: queue capacity %d reached",
+                               opt_.queue_capacity);
+    } else {
+      state->id = next_id_++;
+      state->batch_key = batch_key_for(state->request, state->id);
+      queue_.push_back(state);
+      depth = queue_.size();
     }
-    if (queue_.size() >= static_cast<std::size_t>(opt_.queue_capacity)) {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(rejected_);
-      return {nullptr,
-              Status::errorf("service saturated: queue capacity %d reached",
-                             opt_.queue_capacity)};
-    }
-    state->id = next_id_++;
-    state->batch_key = batch_key_for(state->request, state->id);
-    queue_.push_back(state);
-    depth = queue_.size();
   }
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(submitted_);
+  if (!refused.ok()) {
+    metrics_.add(rejected_);
+    return {nullptr, refused};
   }
+  metrics_.add(submitted_);
   if (tracer_ != nullptr && state->trace.valid()) {
     tracer_->event(state->trace, obs::FlightEventKind::kEnqueue, 0,
                    static_cast<std::uint32_t>(depth));
@@ -198,10 +194,7 @@ bool Service::cancel(const JobHandle& handle) {
     queue_.erase(it);
   }
   // Counter before publishing: see finish().
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(cancelled_);
-  }
+  metrics_.add(cancelled_);
   std::vector<std::function<void()>> hooks;
   {
     std::lock_guard<std::mutex> lock(handle->mu);
@@ -247,12 +240,10 @@ bool Service::accepting() const {
 }
 
 std::int64_t Service::counter(std::string_view name) const {
-  std::lock_guard<std::mutex> obs(obs_mu_);
   return metrics_.counter_value(name);
 }
 
 std::vector<obs::MetricSample> Service::metrics_samples() const {
-  std::lock_guard<std::mutex> obs(obs_mu_);
   return metrics_.samples();
 }
 
@@ -272,10 +263,7 @@ void Service::finish(const JobHandle& job, JobResult result) {
   }
   // Counters first: a caller that observed wait() return must also
   // observe the counters already reflecting this job.
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(ok ? completed_ : failed_);
-  }
+  metrics_.add(ok ? completed_ : failed_);
   std::vector<std::function<void()>> hooks;
   {
     std::lock_guard<std::mutex> lock(job->mu);
@@ -289,10 +277,7 @@ void Service::finish(const JobHandle& job, JobResult result) {
 }
 
 void Service::resume_after_crash(const std::vector<JobHandle>& batch) {
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(crashes_);
-  }
+  metrics_.add(crashes_);
   if (tracer_ != nullptr) {
     for (const auto& job : batch) {
       if (!job->trace.valid()) continue;
@@ -341,10 +326,7 @@ bool Service::finish_if_deadline_expired(const JobHandle& job) {
   if (tracer_ != nullptr && job->trace.valid()) {
     tracer_->event(job->trace, obs::FlightEventKind::kDeadlineCheck, 1, 0);
   }
-  {
-    std::lock_guard<std::mutex> obs(obs_mu_);
-    metrics_.add(expired_);
-  }
+  metrics_.add(expired_);
   JobResult r;
   r.status = Status::deadline_exceeded("deadline expired at epoch boundary");
   finish(job, std::move(r));
@@ -361,10 +343,7 @@ FabricPool::Lease Service::acquire_fabric(int rows, int cols,
   if (!lease.valid()) {
     // Injected kPoolLease failure; one retry recovers (the pool can
     // always construct below its bound once the rule stops firing).
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(lease_retries_);
-    }
+    metrics_.add(lease_retries_);
     if (traced) {
       tracer_->event(head->trace, obs::FlightEventKind::kRetry, shape_code, 1);
     }
@@ -426,10 +405,7 @@ std::vector<JobHandle> Service::next_batch() {
     queue_.pop_front();
     if (head->deadline && *head->deadline < now) {
       lock.unlock();
-      {
-        std::lock_guard<std::mutex> obs(obs_mu_);
-        metrics_.add(expired_);
-      }
+      metrics_.add(expired_);
       if (tracer_ != nullptr && head->trace.valid()) {
         tracer_->event(head->trace, obs::FlightEventKind::kDeadlineCheck, 1,
                        0);
@@ -478,11 +454,8 @@ std::vector<JobHandle> Service::next_batch() {
                       {{"kind", job_kind_name(job->request), false}});
       }
     }
-    {
-      std::lock_guard<std::mutex> obs(obs_mu_);
-      metrics_.add(batches_);
-      metrics_.observe(batch_size_, static_cast<double>(batch.size()));
-    }
+    metrics_.add(batches_);
+    metrics_.observe(batch_size_, static_cast<double>(batch.size()));
     return batch;
   }
 }

@@ -133,17 +133,13 @@ class Service {
   [[nodiscard]] int workers() const noexcept { return opt_.workers; }
   [[nodiscard]] bool accepting() const;
 
-  /// Shared observability: counters (service.*, cache.*, pool.*).
-  /// Guarded internally; safe to read between jobs.
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
-
-  /// Counter convenience (by full metric name, e.g. "cache.hit").
+  /// Counter by full metric name (e.g. "cache.hit"); callable from any
+  /// thread while jobs run.
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
 
-  /// Thread-safe snapshot of every counter and gauge (service.*, cache.*,
-  /// pool.*) — the stats hook the network layer serves to remote clients.
+  /// Snapshot of every counter and gauge (service.*, cache.*, pool.*),
+  /// callable from any thread while jobs run — the stats hook the network
+  /// layer serves to remote clients.
   [[nodiscard]] std::vector<obs::MetricSample> metrics_samples() const;
 
  private:
@@ -199,8 +195,8 @@ class Service {
   ArtifactCache cache_;
   FabricPool pool_;
 
-  mutable std::mutex obs_mu_;  ///< Guards metrics_ (the registry is
-                               ///< single-threaded by design).
+  /// Registered in the constructor; shared by the workers, the cache and
+  /// the pool, which update it lock-free.
   obs::MetricsRegistry metrics_;
   obs::CounterHandle submitted_;
   obs::CounterHandle rejected_;

@@ -1,11 +1,12 @@
 // Observability layer tests: metrics registry semantics (hot path,
-// histogram bucket edges, the CGRA_OBS_OFF escape hatch), span timeline
-// nesting and Chrome-trace round-trips, profile reconciliation, and the
-// BENCH_*.json schema.
+// histogram bucket edges, exact totals under concurrent updates), span
+// timeline nesting and Chrome-trace round-trips, profile reconciliation,
+// and the BENCH_*.json schema.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
@@ -33,13 +34,8 @@ TEST(Metrics, CounterFindOrCreateAndHotPath) {
 
   reg.add(a);
   reg.add(a, 41);
-#ifdef CGRA_OBS_OFF
-  EXPECT_EQ(reg.counter_value(a), 0);
-  EXPECT_EQ(reg.counter_value("fabric.cycles"), 0);
-#else
   EXPECT_EQ(reg.counter_value(a), 42);
   EXPECT_EQ(reg.counter_value("fabric.cycles"), 42);
-#endif
   EXPECT_EQ(reg.counter_value("no.such.metric"), 0);
 }
 
@@ -48,12 +44,8 @@ TEST(Metrics, GaugeSetOverwrites) {
   const auto g = reg.gauge("icap.occupancy");
   reg.set(g, 0.25);
   reg.set(g, 0.75);
-#ifdef CGRA_OBS_OFF
-  EXPECT_EQ(reg.gauge_value(g), 0.0);
-#else
   EXPECT_EQ(reg.gauge_value(g), 0.75);
   EXPECT_EQ(reg.gauge_value("icap.occupancy"), 0.75);
-#endif
 }
 
 TEST(Metrics, HistogramBucketEdges) {
@@ -68,15 +60,11 @@ TEST(Metrics, HistogramBucketEdges) {
   const auto snap = reg.histogram_snapshot(h);
   ASSERT_EQ(snap.bounds.size(), 2u);
   ASSERT_EQ(snap.counts.size(), 3u);  // two buckets + overflow
-#ifdef CGRA_OBS_OFF
-  EXPECT_EQ(snap.total, 0);
-#else
   EXPECT_EQ(snap.counts[0], 2);
   EXPECT_EQ(snap.counts[1], 2);
   EXPECT_EQ(snap.counts[2], 1);
   EXPECT_EQ(snap.total, 5);
   EXPECT_DOUBLE_EQ(snap.sum, 5.0 + 10.0 + 10.5 + 20.0 + 20.001);
-#endif
 }
 
 TEST(Metrics, HistogramReregistrationKeepsFirstBounds) {
@@ -95,9 +83,36 @@ TEST(Metrics, ResetValuesKeepsDefinitionsAndHandles) {
   EXPECT_EQ(reg.counter_value(c), 0);
   EXPECT_EQ(reg.metric_count(), 1u);
   reg.add(c, 3);
-#ifndef CGRA_OBS_OFF
   EXPECT_EQ(reg.counter_value(c), 3);  // handle survives the reset
-#endif
+}
+
+TEST(Metrics, ConcurrentUpdatesAreExact) {
+  // Updates from several threads, no lock: every add and observe lands.
+  MetricsRegistry reg;
+  const auto c = reg.counter("c");
+  const auto h = reg.histogram("h", {1.0, 2.0});
+  constexpr int kThreads = 4;
+  constexpr int kEach = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kEach; ++i) {
+        reg.add(c);
+        reg.observe(h, static_cast<double>((t + i) % 3));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(reg.counter_value(c), kThreads * kEach);
+  const auto snap = reg.histogram_snapshot(h);
+  EXPECT_EQ(snap.total, kThreads * kEach);
+  EXPECT_EQ(snap.counts[0] + snap.counts[1] + snap.counts[2], snap.total);
+  // Integer-valued doubles add exactly in any order, so the sum is exact.
+  std::int64_t want_sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kEach; ++i) want_sum += (t + i) % 3;
+  }
+  EXPECT_EQ(snap.sum, static_cast<double>(want_sum));
 }
 
 TEST(Metrics, ExportersAreWellFormed) {
@@ -112,11 +127,9 @@ TEST(Metrics, ExportersAreWellFormed) {
   ASSERT_NE(parsed.find("counters"), nullptr);
   ASSERT_NE(parsed.find("gauges"), nullptr);
   ASSERT_NE(parsed.find("histograms"), nullptr);
-#ifndef CGRA_OBS_OFF
   const auto* counters = parsed.find("counters");
   ASSERT_NE(counters->find("a.count"), nullptr);
   EXPECT_EQ(counters->find("a.count")->number, 3.0);
-#endif
 
   const std::string csv = reg.to_csv();
   EXPECT_NE(csv.find("counter,a.count"), std::string::npos);
@@ -134,14 +147,10 @@ TEST(Metrics, FabricCountersMatchTileStats) {
   fab.tile(0).load_program(r.program);
   fab.tile(0).restart();
   const auto run = fab.run(100);
-#ifdef CGRA_OBS_OFF
-  EXPECT_EQ(reg.counter_value("fabric.cycles"), 0);
-#else
   EXPECT_EQ(reg.counter_value("fabric.cycles"), run.cycles);
   EXPECT_EQ(reg.counter_value("fabric.retired"),
             fab.tile(0).stats().instructions);
   EXPECT_EQ(reg.counter_value("fabric.faults"), 0);
-#endif
 }
 
 // ------------------------------------------------------------------ spans
@@ -366,10 +375,6 @@ TEST(FlightRing, RecordsInOrderAndRoundsCapacity) {
     ring.record(7, FlightEventKind::kEnqueue, static_cast<std::uint16_t>(i),
                 2 * i, 100.0 * i);
   }
-#ifdef CGRA_OBS_OFF
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-#else
   EXPECT_EQ(ring.recorded(), 5u);
   EXPECT_EQ(ring.dropped(), 0u);
   const auto events = ring.snapshot();
@@ -380,10 +385,8 @@ TEST(FlightRing, RecordsInOrderAndRoundsCapacity) {
     EXPECT_EQ(events[i].code, i);
     EXPECT_EQ(events[i].arg, 2 * i);
   }
-#endif
 }
 
-#ifndef CGRA_OBS_OFF
 TEST(FlightRing, WrapKeepsNewestAndCountsDropped) {
   FlightRing ring(8);
   for (std::uint32_t i = 0; i < 20; ++i) {
@@ -396,7 +399,6 @@ TEST(FlightRing, WrapKeepsNewestAndCountsDropped) {
   EXPECT_EQ(events.front().arg, 12u);  // oldest surviving event
   EXPECT_EQ(events.back().arg, 19u);
 }
-#endif
 
 TEST(Tracer, MakeContextDeterministicAndNonzero) {
   TracerOptions opt;
@@ -434,7 +436,6 @@ TEST(Tracer, SpanCarriesTraceArgsAndMergesAcrossTracers) {
   EXPECT_TRUE(validate_chrome_trace(other.to_chrome_json()).ok());
 }
 
-#ifndef CGRA_OBS_OFF
 TEST(Tracer, AnomalyDumpKeepsOwnTraceAndChaosFires) {
   Tracer tracer;
   const auto mine = tracer.make_context();
@@ -459,7 +460,6 @@ TEST(Tracer, AnomalyDumpKeepsOwnTraceAndChaosFires) {
   EXPECT_TRUE(validate_chrome_trace(json).ok());
   EXPECT_NE(json.find("anomaly: deadline-exceeded"), std::string::npos);
 }
-#endif
 
 TEST(Tracer, AnomaliesAreFifoBounded) {
   TracerOptions opt;

@@ -5,6 +5,8 @@
 // service API or properly synchronised.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -387,6 +389,55 @@ TEST(Service, InvalidRequestsReportStatusNotCrash) {
     const auto res = svc.wait(svc.submit(JobRequest{req}).handle);
     EXPECT_FALSE(res.ok());
   }
+}
+
+TEST(Service, MetricsReadableWhileJobsRun) {
+  // One thread reads the registry while two workers finish JPEG-block
+  // jobs over three quant tables.  The cache and pool count under their
+  // own mutexes, so only a registry that is thread-safe on its own keeps
+  // this race-free (the tsan preset runs it).  Once idle, the totals are
+  // exact.
+  constexpr int kJobs = 240;
+  const std::array quants = {jpeg::scaled_quant(50), jpeg::scaled_quant(75),
+                             jpeg::scaled_quant(90)};
+  Service svc(ServiceOptions{.workers = 2, .queue_capacity = kJobs});
+  std::atomic<bool> done{false};
+  std::int64_t reads = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      double sum = 0.0;
+      for (const auto& s : svc.metrics_samples()) sum += s.value;
+      EXPECT_GE(sum, 0.0);
+      EXPECT_GE(svc.counter("cache.hit"), 0);
+      ++reads;
+    }
+  });
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < kJobs; ++i) {
+    JpegBlockRequest req;
+    req.raw = test_block(i);
+    req.quant = quants[static_cast<std::size_t>(i) % quants.size()];
+    auto sub = svc.submit(JobRequest{req});
+    EXPECT_TRUE(sub.accepted()) << sub.status.message();
+    if (sub.accepted()) handles.push_back(sub.handle);
+  }
+  for (const auto& h : handles) {
+    const auto res = svc.wait(h);
+    EXPECT_TRUE(res.ok()) << res.status.message();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0);
+
+  EXPECT_EQ(svc.counter("service.jobs.submitted"), kJobs);
+  EXPECT_EQ(svc.counter("service.jobs.completed"), kJobs);
+  // One pipeline-artifact lookup and one lease per JPEG-block batch.
+  const std::int64_t batches = svc.counter("service.batches");
+  EXPECT_EQ(svc.counter("cache.hit") + svc.counter("cache.miss"), batches);
+  EXPECT_GE(svc.counter("cache.miss"), 3);
+  EXPECT_EQ(svc.counter("pool.acquire.reused") +
+                svc.counter("pool.acquire.constructed"),
+            batches);
 }
 
 // The same jobs produce bit-identical payloads on both execution engines
