@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "cgra/net.hpp"
+#include "golden_frames.hpp"
+#include "service/artifact_cache.hpp"
 // Internal socket helpers (not part of the facade): the malformed-frame
 // tests drive the server with hand-rolled byte streams.
 #include "net/socket_util.hpp"
@@ -306,6 +308,72 @@ TEST(Protocol, TraceDumpRoundTrip) {
   EXPECT_EQ(resp.trace_dump.events_recorded, 1000u);
   EXPECT_EQ(resp.trace_dump.events_dropped, 24u);
   EXPECT_EQ(resp.trace_dump.trace_json, info.trace_json);
+}
+
+// --- golden frames ---------------------------------------------------------
+
+TEST(Protocol, GoldenFramesAreByteIdentical) {
+  // Length and FNV-1a-64 digest of each golden frame, recorded when the
+  // corpus was introduced: any codec change that moves a v3 byte fails.
+  struct Pin {
+    MsgType type;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {MsgType::kPing, 20, 0xc0c70827718748d9ULL},
+      {MsgType::kJpegBlock, 728, 0xc8284aeecd7c17dbULL},
+      {MsgType::kJpegImage, 79, 0x79bbdc2dc34783b1ULL},
+      {MsgType::kFft, 192, 0xc73b4e4955545919ULL},
+      {MsgType::kDseSweep, 228, 0x603bf31d88a3c7fcULL},
+      {MsgType::kStats, 20, 0x1eb3ed2767417cfbULL},
+      {MsgType::kCancel, 28, 0x46cf75de5beb53b2ULL},
+      {MsgType::kTraceDump, 20, 0x1953a1049a436809ULL},
+      {MsgType::kPong, 20, 0xded1962dd57feaf5ULL},
+      {MsgType::kJpegBlockResult, 293, 0x28b6ad4ec7782f24ULL},
+      {MsgType::kJpegImageResult, 40, 0xa820ed316a869656ULL},
+      {MsgType::kFftResult, 92, 0x1248910afd0ab339ULL},
+      {MsgType::kDseSweepResult, 82, 0x6a142e18c19923ebULL},
+      {MsgType::kStatsResult, 81, 0x693431dfe0c45bd5ULL},
+      {MsgType::kCancelResult, 29, 0x95ef1ab282b723e6ULL},
+      {MsgType::kError, 48, 0xf931e5f81187818cULL},
+      {MsgType::kTraceDumpResult, 78, 0xdd610ab38c21f122ULL},
+  };
+  const auto frames = golden::frames();
+  ASSERT_EQ(frames.size(), std::size(pins));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& bytes = frames[i];
+    FrameHeader header;
+    ASSERT_TRUE(decode_header(bytes, &header).ok()) << i;
+    const std::uint64_t digest = service::fnv1a(std::string_view(
+        reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+    EXPECT_EQ(header.type, pins[i].type) << i;
+    EXPECT_EQ(bytes.size(), pins[i].size) << msg_type_name(header.type);
+    EXPECT_EQ(digest, pins[i].digest) << msg_type_name(header.type);
+
+    // Each frame also decodes on its own side of the protocol.
+    Frame frame;
+    frame.header = header;
+    frame.payload.assign(bytes.begin() + kHeaderSize, bytes.end());
+    if (msg_type_is_request(header.type)) {
+      Request req;
+      const Status s = decode_request(frame, &req);
+      EXPECT_TRUE(s.ok()) << msg_type_name(header.type) << ": "
+                          << s.message();
+      if (msg_type_is_job(header.type)) {
+        std::vector<std::uint8_t> again;
+        ASSERT_TRUE(
+            encode_job_request(req.request_id, req.job, &again, req.options)
+                .ok());
+        EXPECT_EQ(again, bytes) << msg_type_name(header.type);
+      }
+    } else {
+      Response resp;
+      const Status s = decode_response(frame, &resp);
+      EXPECT_TRUE(s.ok()) << msg_type_name(header.type) << ": "
+                          << s.message();
+    }
+  }
 }
 
 // --- server echo ---------------------------------------------------------
