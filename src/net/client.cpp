@@ -126,45 +126,9 @@ Status Client::read_response(Response* out) {
   return decode_response(frame, out);
 }
 
-Status Client::breaker_gate() {
-  if (opt_.breaker_threshold <= 0) return Status();
-  if (breaker_ == BreakerState::kOpen) {
-    if (std::chrono::steady_clock::now() < breaker_open_until_) {
-      return Status::unavailable("circuit breaker open");
-    }
-    breaker_ = BreakerState::kHalfOpen;  // cooldown passed: one probe
-  }
-  return Status();
-}
-
-void Client::breaker_success() {
-  breaker_ = BreakerState::kClosed;
-  breaker_failures_ = 0;
-}
-
-void Client::breaker_failure() {
-  if (opt_.breaker_threshold <= 0) return;
-  ++breaker_failures_;
-  if (breaker_ == BreakerState::kHalfOpen ||
-      breaker_failures_ >= opt_.breaker_threshold) {
-    const bool was_open = breaker_ == BreakerState::kOpen;
-    breaker_ = BreakerState::kOpen;
-    breaker_open_until_ =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(std::max(1, opt_.breaker_cooldown_ms));
-    if (!was_open && opt_.tracer != nullptr && trace_ctx_.valid()) {
-      opt_.tracer->note_anomaly(
-          trace_ctx_, obs::AnomalyReason::kBreakerOpen,
-          "breaker opened after " + std::to_string(breaker_failures_) +
-              " consecutive transport failures");
-    }
-  }
-}
-
 Status Client::roundtrip(const std::vector<std::uint8_t>& frame,
                          std::uint64_t request_id, bool idempotent,
                          Response* out) {
-  if (Status gate = breaker_gate(); !gate.ok()) return gate;
   Status last;
   bool maybe_sent = false;  ///< A write was attempted; the server may have
                             ///< received (and started executing) the request.
@@ -213,11 +177,9 @@ Status Client::roundtrip(const std::vector<std::uint8_t>& frame,
                             static_cast<unsigned long long>(request_id));
       continue;
     }
-    breaker_success();
     return Status();
   }
   close();
-  breaker_failure();
   if (maybe_sent && !idempotent) {
     return Status::unknown_outcome(
         "request may have been executed (no idempotency id, so not "
@@ -275,20 +237,6 @@ Status Client::stats(std::vector<obs::MetricSample>* out) {
                           msg_type_name(resp.type));
   }
   *out = std::move(resp.stats);
-  return Status();
-}
-
-Status Client::health(HealthInfo* out) {
-  const std::uint64_t id = next_id_++;
-  Response resp;
-  const Status s =
-      roundtrip(encode_health(id), id, /*idempotent=*/true, &resp);
-  if (!s.ok()) return s;
-  if (resp.type != MsgType::kHealthResult) {
-    return Status::errorf("expected health result, got %s",
-                          msg_type_name(resp.type));
-  }
-  *out = resp.health;
   return Status();
 }
 

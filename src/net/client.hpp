@@ -15,16 +15,9 @@
 // could double-execute it.  Protocol-level errors (kError replies,
 // malformed responses) are never retried.
 //
-// On top of the per-call backoff sits an optional circuit breaker:
-// after `breaker_threshold` consecutive whole-call transport failures
-// the client fails fast with kUnavailable for `breaker_cooldown_ms`,
-// then lets exactly one probe through (half-open); a probe success
-// closes the breaker, a failure reopens it.
-//
 // Not thread-safe: one Client per thread (see bench_net_throughput).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,17 +38,13 @@ struct ClientOptions {
   int max_retries = 3;
   int retry_backoff_ms = 50;     ///< First backoff; doubles per retry.
   double backoff_factor = 2.0;
-  /// Consecutive whole-call transport failures that open the circuit
-  /// breaker; 0 disables it.
-  int breaker_threshold = 0;
-  int breaker_cooldown_ms = 1000;  ///< Open-state fail-fast window.
   /// Chaos injector for the client-side hooks (kClientConnect,
   /// kClientFrame, kClientRecv); not owned, must outlive the client.
   chaos::ChaosInjector* chaos = nullptr;
   /// Wire tracer: call() generates a propagated trace context per
   /// request (when CallOptions::trace is unset), records a client span
-  /// around the round-trip, and logs retry / breaker-open flight
-  /// events.  Not owned, must outlive the client; null = untraced.
+  /// around the round-trip, and logs retry flight events.  Not owned,
+  /// must outlive the client; null = untraced.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -98,9 +87,6 @@ class Client {
   /// Fetch the server's merged stats samples (service.* + net.*).
   [[nodiscard]] Status stats(std::vector<obs::MetricSample>* out);
 
-  /// Fetch the server's readiness snapshot.
-  [[nodiscard]] Status health(HealthInfo* out);
-
   /// Pull the server tracer's live dump: anomaly/span/event counts plus
   /// the full Chrome trace JSON (merge it locally with
   /// obs::parse_chrome_trace + Tracer::merge_spans).
@@ -131,14 +117,7 @@ class Client {
     return connect_attempts_;
   }
 
-  /// True while the circuit breaker is failing calls fast.
-  [[nodiscard]] bool breaker_open() const noexcept {
-    return breaker_ == BreakerState::kOpen;
-  }
-
  private:
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
   [[nodiscard]] Status connect_once();
   [[nodiscard]] Status ensure_connected();
   /// Send `frame` and wait for the reply matching `request_id`, applying
@@ -149,22 +128,13 @@ class Client {
                                  Response* out);
   [[nodiscard]] Status read_response(Response* out);
 
-  /// Fail fast while the breaker is open; arm the half-open probe once
-  /// the cooldown has passed.
-  [[nodiscard]] Status breaker_gate();
-  void breaker_success();
-  void breaker_failure();
-
   const ClientOptions opt_;
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
   /// Trace identity of the call in flight; roundtrip() tags its retry
-  /// and breaker flight events with it (invalid between calls).
+  /// flight events with it (invalid between calls).
   obs::TraceContext trace_ctx_;
   int connect_attempts_ = 0;
-  BreakerState breaker_ = BreakerState::kClosed;
-  int breaker_failures_ = 0;
-  std::chrono::steady_clock::time_point breaker_open_until_{};
 };
 
 }  // namespace cgra::net

@@ -1,8 +1,10 @@
 #include "net/protocol.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <cstdarg>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 namespace cgra::net {
@@ -10,42 +12,65 @@ namespace cgra::net {
 namespace {
 
 // --- primitive writer / reader ------------------------------------------
+//
+// Writer and Reader share one method set, so each payload's field list is
+// written once, as a template over either (the `io` functions below).
+// Writer takes values and Reader takes references; a payload passed to a
+// Writer is deduced `const`.  Every bound lives here: Reader rejects an
+// element count, string or blob past its cap, and Writer clamps to the
+// same cap, so a frame the encoder writes always decodes.
 
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>* out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
+  void i32(std::int32_t v) { le(static_cast<std::uint32_t>(v), 4); }
+  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    le(bits, 8);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Truncated to kMaxStringBytes.
   void str(std::string_view s) {
+    s = s.substr(0, kMaxStringBytes);
     u32(static_cast<std::uint32_t>(s.size()));
     out_->insert(out_->end(), s.begin(), s.end());
   }
-  void bytes(const std::vector<std::uint8_t>& b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    out_->insert(out_->end(), b.begin(), b.end());
+  /// Truncated to `max` bytes.
+  void blob(const std::vector<std::uint8_t>& b, std::uint32_t max) {
+    const std::uint32_t n = count(b.size(), max);
+    out_->insert(out_->end(), b.begin(), b.begin() + n);
+  }
+  /// Writes min(n, max) and returns it.
+  std::uint32_t count(std::size_t n, std::uint32_t max) {
+    const auto clamped =
+        static_cast<std::uint32_t>(std::min<std::size_t>(n, max));
+    u32(clamped);
+    return clamped;
+  }
+  template <class E>
+  void enumeration(E e, E /*max_value*/, const char* /*what*/) {
+    u8(static_cast<std::uint8_t>(e));
+  }
+  /// A count, then the first min(size, max) elements.
+  template <class V>
+  void list(const V& v, std::uint32_t max, const char* /*what*/) {
+    const std::uint32_t n = count(v.size(), max);
+    for (std::uint32_t i = 0; i < n; ++i) io(*this, v[i]);
   }
 
  private:
+  void le(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
@@ -59,66 +84,59 @@ class Reader {
     return pos_ == bytes_.size();
   }
 
-  std::uint8_t u8() {
-    if (!need(1, "u8")) return 0;
-    return bytes_[pos_++];
+  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(le(1, "u8")); }
+  void u32(std::uint32_t& v) {
+    v = static_cast<std::uint32_t>(le(4, "u32"));
   }
-  std::uint16_t u16() {
-    const std::uint16_t lo = u8();
-    return static_cast<std::uint16_t>(lo | (u8() << 8));
-  }
-  std::uint32_t u32() {
-    const std::uint32_t lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
+  void u64(std::uint64_t& v) { v = le(8, "u64"); }
+  void i32(std::int32_t& v) { v = static_cast<std::int32_t>(le(4, "i32")); }
+  void i64(std::int64_t& v) { v = static_cast<std::int64_t>(le(8, "i64")); }
+  void f64(double& v) {
+    const std::uint64_t bits = le(8, "f64");
     std::memcpy(&v, &bits, sizeof v);
-    return v;
   }
-  bool boolean() { return u8() != 0; }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok()) return {};
-    if (n > kMaxStringBytes) {
-      fail("string length %u exceeds the %u-byte bound", n, kMaxStringBytes);
-      return {};
-    }
-    if (!need(n, "string body")) return {};
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
+  void boolean(bool& v) { v = le(1, "bool") != 0; }
+  void str(std::string& s) {
+    const auto body = sized(kMaxStringBytes, "string");
+    s.assign(body.begin(), body.end());
   }
-  std::vector<std::uint8_t> blob(std::uint32_t max_bytes) {
-    const std::uint32_t n = u32();
-    if (!ok()) return {};
-    if (n > max_bytes) {
-      fail("blob length %u exceeds the %u-byte bound", n, max_bytes);
-      return {};
-    }
-    if (!need(n, "blob body")) return {};
-    std::vector<std::uint8_t> b(bytes_.begin() + static_cast<long>(pos_),
-                                bytes_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return b;
+  void blob(std::vector<std::uint8_t>& b, std::uint32_t max) {
+    const auto body = sized(max, "blob");
+    b.assign(body.begin(), body.end());
   }
   /// Element count with an explicit cap; 0 on any violation.
   std::uint32_t count(std::uint32_t max, const char* what) {
-    const std::uint32_t n = u32();
-    if (!ok()) return 0;
+    std::uint32_t n = 0;
+    u32(n);
     if (n > max) {
       fail("%s count %u exceeds the bound %u", what, n, max);
       return 0;
     }
     return n;
+  }
+  /// One byte naming a value of `E` in [0, max_value].  An error frame
+  /// never carries kOk, so StatusCode also rejects 0.
+  template <class E>
+  void enumeration(E& e, E max_value, const char* what) {
+    std::uint8_t raw = 0;
+    u8(raw);
+    if (!ok()) return;
+    if (raw > static_cast<std::uint8_t>(max_value) ||
+        (std::is_same_v<E, StatusCode> && raw == 0)) {
+      fail("%s %u", what, raw);
+      return;
+    }
+    e = static_cast<E>(raw);
+  }
+  /// A count of at most `max`, then that many elements.
+  template <class V>
+  void list(V& v, std::uint32_t max, const char* what) {
+    const std::uint32_t n = count(max, what);
+    v.clear();
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n && ok(); ++i) {
+      io(*this, v.emplace_back());
+    }
   }
 
   [[gnu::format(printf, 2, 3)]] void fail(const char* fmt, ...);
@@ -131,6 +149,29 @@ class Reader {
       return false;
     }
     return true;
+  }
+  /// A u32 length of at most `max`, then that many bytes.
+  std::span<const std::uint8_t> sized(std::uint32_t max, const char* what) {
+    std::uint32_t n = 0;
+    u32(n);
+    if (!ok()) return {};
+    if (n > max) {
+      fail("%s length %u exceeds the %u-byte bound", what, n, max);
+      return {};
+    }
+    if (!need(n, what)) return {};
+    pos_ += n;
+    return bytes_.subspan(pos_ - n, n);
+  }
+  /// Little-endian unsigned of `n` bytes; 0 once the payload is short.
+  std::uint64_t le(std::size_t n, const char* what) {
+    if (!need(n, what)) return 0;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
+    }
+    pos_ += n;
+    return v;
   }
 
   std::span<const std::uint8_t> bytes_;
@@ -162,142 +203,85 @@ std::vector<std::uint8_t> begin_frame() {
   return std::vector<std::uint8_t>(kHeaderSize, 0);
 }
 
-// --- nested struct codecs ------------------------------------------------
+// --- payload field lists -------------------------------------------------
+//
+// One `io` per payload: `Io` is Writer or Reader, and `T` is the payload
+// type, const when writing.
 
-void write_block(Writer& w, const jpeg::IntBlock& block) {
-  for (const int v : block) w.i32(v);
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+/// JPEG blocks and quantisation tables alike.
+template <class Io, Is<std::array<int, 64>> T>
+void io(Io& s, T& values) {
+  for (auto& v : values) s.i32(v);
 }
 
-jpeg::IntBlock read_block(Reader& r) {
-  jpeg::IntBlock block{};
-  for (auto& v : block) v = r.i32();
-  return block;
+template <class Io, Is<fft::Cplx> T>
+void io(Io& s, T& c) {
+  // The standard lets a std::complex<double> be accessed as double[2]
+  // {re, im} through exactly this reinterpret_cast.
+  using Parts = std::conditional_t<std::is_const_v<T>, const double[2],
+                                   double[2]>;
+  auto& parts = reinterpret_cast<Parts&>(c);
+  s.f64(parts[0]);
+  s.f64(parts[1]);
 }
 
-void write_quant(Writer& w, const std::array<int, 64>& quant) {
-  for (const int v : quant) w.i32(v);
+template <class Io, Is<std::vector<fft::Cplx>> T>
+void io(Io& s, T& samples) {
+  s.list(samples, kMaxFftPoints, "complex sample");
 }
 
-std::array<int, 64> read_quant(Reader& r) {
-  std::array<int, 64> quant{};
-  for (auto& v : quant) v = r.i32();
-  return quant;
+template <class Io, Is<faults::FaultEvent> T>
+void io(Io& s, T& e) {
+  s.enumeration(e.action, faults::FaultAction::kKillTile,
+                "unknown fault action");
+  s.i32(e.tile);
+  s.i64(e.cycle);
+  s.i32(e.addr);
+  s.i32(e.bit);
+  s.i32(e.count);
 }
 
-void write_fault_plan(Writer& w, const faults::FaultPlan& plan) {
-  w.u64(plan.seed);
-  w.u32(static_cast<std::uint32_t>(plan.events.size()));
-  for (const auto& e : plan.events) {
-    w.u8(static_cast<std::uint8_t>(e.action));
-    w.i32(e.tile);
-    w.i64(e.cycle);
-    w.i32(e.addr);
-    w.i32(e.bit);
-    w.i32(e.count);
-  }
+template <class Io, Is<faults::FaultPlan> T>
+void io(Io& s, T& plan) {
+  s.u64(plan.seed);
+  s.list(plan.events, kMaxFaultEvents, "fault event");
 }
 
-faults::FaultPlan read_fault_plan(Reader& r) {
-  faults::FaultPlan plan;
-  plan.seed = r.u64();
-  const std::uint32_t n = r.count(kMaxFaultEvents, "fault event");
-  plan.events.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    faults::FaultEvent e;
-    const std::uint8_t action = r.u8();
-    if (action > static_cast<std::uint8_t>(faults::FaultAction::kKillTile)) {
-      r.fail("unknown fault action %u", action);
-      break;
-    }
-    e.action = static_cast<faults::FaultAction>(action);
-    e.tile = r.i32();
-    e.cycle = r.i64();
-    e.addr = r.i32();
-    e.bit = r.i32();
-    e.count = r.i32();
-    plan.events.push_back(e);
-  }
-  return plan;
+template <class Io, Is<mapping::CostParams> T>
+void io(Io& s, T& p) {
+  s.f64(p.icap.bytes_per_sec);
+  s.i32(p.imem_words);
+  s.i32(p.dmem_words);
+  s.boolean(p.allow_pinning);
 }
 
-void write_cost_params(Writer& w, const mapping::CostParams& p) {
-  w.f64(p.icap.bytes_per_sec);
-  w.i32(p.imem_words);
-  w.i32(p.dmem_words);
-  w.boolean(p.allow_pinning);
+template <class Io, Is<faults::RecoveryPolicy> T>
+void io(Io& s, T& p) {
+  s.boolean(p.verify_readback);
+  s.f64(p.verify_cost_factor);
+  s.i32(p.max_icap_retries);
+  s.f64(p.icap_retry_backoff_ns);
+  s.f64(p.icap_backoff_factor);
+  s.i32(p.max_retries_per_checkpoint);
+  s.boolean(p.scrub_imem);
+  s.boolean(p.allow_rebalance);
+  s.i32(p.max_rebalances);
+  s.enumeration(p.rebalance_algo, mapping::RebalanceAlgorithm::kOpt,
+                "unknown rebalance algorithm");
+  io(s, p.cost_params);
+  s.f64(p.watchdog.margin);
+  s.i64(p.watchdog.min_budget_cycles);
 }
 
-mapping::CostParams read_cost_params(Reader& r) {
-  mapping::CostParams p;
-  p.icap.bytes_per_sec = r.f64();
-  p.imem_words = r.i32();
-  p.dmem_words = r.i32();
-  p.allow_pinning = r.boolean();
-  return p;
-}
-
-void write_policy(Writer& w, const faults::RecoveryPolicy& p) {
-  w.boolean(p.verify_readback);
-  w.f64(p.verify_cost_factor);
-  w.i32(p.max_icap_retries);
-  w.f64(p.icap_retry_backoff_ns);
-  w.f64(p.icap_backoff_factor);
-  w.i32(p.max_retries_per_checkpoint);
-  w.boolean(p.scrub_imem);
-  w.boolean(p.allow_rebalance);
-  w.i32(p.max_rebalances);
-  w.u8(static_cast<std::uint8_t>(p.rebalance_algo));
-  write_cost_params(w, p.cost_params);
-  w.f64(p.watchdog.margin);
-  w.i64(p.watchdog.min_budget_cycles);
-}
-
-faults::RecoveryPolicy read_policy(Reader& r) {
-  faults::RecoveryPolicy p;
-  p.verify_readback = r.boolean();
-  p.verify_cost_factor = r.f64();
-  p.max_icap_retries = r.i32();
-  p.icap_retry_backoff_ns = r.f64();
-  p.icap_backoff_factor = r.f64();
-  p.max_retries_per_checkpoint = r.i32();
-  p.scrub_imem = r.boolean();
-  p.allow_rebalance = r.boolean();
-  p.max_rebalances = r.i32();
-  const std::uint8_t algo = r.u8();
-  if (algo > static_cast<std::uint8_t>(mapping::RebalanceAlgorithm::kOpt)) {
-    r.fail("unknown rebalance algorithm %u", algo);
-    return p;
-  }
-  p.rebalance_algo = static_cast<mapping::RebalanceAlgorithm>(algo);
-  p.cost_params = read_cost_params(r);
-  p.watchdog.margin = r.f64();
-  p.watchdog.min_budget_cycles = r.i64();
-  return p;
-}
-
-void write_cplx_vec(Writer& w, const std::vector<fft::Cplx>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& c : v) {
-    w.f64(c.real());
-    w.f64(c.imag());
-  }
-}
-
-std::vector<fft::Cplx> read_cplx_vec(Reader& r) {
-  const std::uint32_t n = r.count(kMaxFftPoints, "complex sample");
-  std::vector<fft::Cplx> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const double re = r.f64();
-    const double im = r.f64();
-    v.emplace_back(re, im);
-  }
-  return v;
-}
-
-void write_network(Writer& w, const procnet::ProcessNetwork& net) {
-  w.u32(static_cast<std::uint32_t>(net.processes().size()));
-  for (const auto& p : net.processes()) {
+// A ProcessNetwork is built through add_process/add_edge, which validate,
+// so it keeps a hand-written pair.
+void io(Writer& w, const procnet::ProcessNetwork& net) {
+  const std::uint32_t procs = w.count(net.processes().size(), kMaxProcesses);
+  for (std::uint32_t i = 0; i < procs; ++i) {
+    const procnet::Process& p = net.processes()[i];
     w.str(p.name);
     w.i32(p.insts);
     w.i32(p.data1);
@@ -307,39 +291,172 @@ void write_network(Writer& w, const procnet::ProcessNetwork& net) {
     w.i32(p.invocations_per_item);
     w.boolean(p.replicable);
   }
-  w.u32(static_cast<std::uint32_t>(net.edges().size()));
-  for (const auto& e : net.edges()) {
+  const std::uint32_t edges = w.count(net.edges().size(), kMaxEdges);
+  for (std::uint32_t i = 0; i < edges; ++i) {
+    const procnet::Edge& e = net.edges()[i];
     w.i32(e.from);
     w.i32(e.to);
     w.i32(e.words);
   }
 }
 
-procnet::ProcessNetwork read_network(Reader& r) {
-  procnet::ProcessNetwork net;
+void io(Reader& r, procnet::ProcessNetwork& net) {
+  net = procnet::ProcessNetwork{};
   const std::uint32_t procs = r.count(kMaxProcesses, "process");
   for (std::uint32_t i = 0; i < procs && r.ok(); ++i) {
     procnet::Process p;
-    p.name = r.str();
-    p.insts = r.i32();
-    p.data1 = r.i32();
-    p.data2 = r.i32();
-    p.data3 = r.i32();
-    p.runtime_cycles = r.i64();
-    p.invocations_per_item = r.i32();
-    p.replicable = r.boolean();
+    r.str(p.name);
+    r.i32(p.insts);
+    r.i32(p.data1);
+    r.i32(p.data2);
+    r.i32(p.data3);
+    r.i64(p.runtime_cycles);
+    r.i32(p.invocations_per_item);
+    r.boolean(p.replicable);
     if (r.ok()) net.add_process(std::move(p));
   }
   const std::uint32_t edges = r.count(kMaxEdges, "edge");
   for (std::uint32_t i = 0; i < edges && r.ok(); ++i) {
-    const int from = r.i32();
-    const int to = r.i32();
-    const int words = r.i32();
+    int from = 0;
+    int to = 0;
+    int words = 0;
+    r.i32(from);
+    r.i32(to);
+    r.i32(words);
     if (r.ok() && !net.add_edge(from, to, words)) {
       r.fail("invalid edge %d -> %d", from, to);
     }
   }
-  return net;
+}
+
+template <class Io, Is<JobFrameOptions> T>
+void io(Io& s, T& o) {
+  s.u32(o.deadline_ms);
+  s.u64(o.idempotency_id);
+  s.u64(o.trace.trace_id);
+  s.u64(o.trace.parent_span_id);
+}
+
+template <class Io, Is<service::JpegBlockRequest> T>
+void io(Io& s, T& r) {
+  io(s, r.raw);
+  io(s, r.quant);
+  s.i32(r.rows);
+  s.i32(r.cols);
+  io(s, r.plan);
+  io(s, r.policy);
+}
+
+template <class Io, Is<service::JpegImageRequest> T>
+void io(Io& s, T& r) {
+  s.i32(r.quality);
+  s.i32(r.image.width);
+  s.i32(r.image.height);
+  s.blob(r.image.pixels, kMaxPayload / 2);
+}
+
+template <class Io, Is<service::FftRequest> T>
+void io(Io& s, T& r) {
+  s.i32(r.n);
+  s.i32(r.m);
+  s.i32(r.cols);
+  io(s, r.input);
+}
+
+template <class Io, Is<service::DseSweepRequest> T>
+void io(Io& s, T& r) {
+  s.i32(r.max_tiles);
+  s.enumeration(r.algorithm, mapping::RebalanceAlgorithm::kOpt,
+                "unknown rebalance algorithm");
+  io(s, r.params);
+  io(s, r.net);
+}
+
+template <class Io, Is<service::JpegBlockJobResult> T>
+void io(Io& s, T& p) {
+  io(s, p.zigzagged);
+  s.i64(p.cycles);
+  s.f64(p.reconfig_ns);
+  s.boolean(p.recovered);
+}
+
+template <class Io, Is<service::JpegImageJobResult> T>
+void io(Io& s, T& p) {
+  s.i64(p.fabric_cycles);
+  s.blob(p.jfif, kMaxPayload / 2);
+}
+
+template <class Io, Is<service::FftJobResult> T>
+void io(Io& s, T& p) {
+  s.i32(p.epochs);
+  s.f64(p.timeline.epoch_compute_ns);
+  s.f64(p.timeline.reconfig_ns);
+  io(s, p.output);
+}
+
+template <class Io, Is<DseWirePoint> T>
+void io(Io& s, T& pt) {
+  s.i32(pt.tiles);
+  s.f64(pt.ii_ns);
+  s.f64(pt.items_per_sec);
+  s.f64(pt.avg_utilization);
+  s.boolean(pt.needs_reconfig);
+}
+
+template <class Io, Is<std::vector<DseWirePoint>> T>
+void io(Io& s, T& points) {
+  s.list(points, kMaxSweepPoints, "sweep point");
+}
+
+/// The wire summary of a sweep; the Binding stays server-side.
+void io(Writer& w, const service::DseSweepJobResult& p) {
+  std::vector<DseWirePoint> points;
+  for (const auto& pt : p.points) {
+    points.push_back({pt.tiles, pt.eval.ii_ns, pt.eval.items_per_sec,
+                      pt.eval.avg_utilization, pt.eval.needs_reconfig});
+  }
+  io(w, points);
+}
+
+template <class Io, Is<obs::MetricSample> T>
+void io(Io& s, T& m) {
+  s.str(m.name);
+  s.boolean(m.is_counter);
+  s.f64(m.value);
+}
+
+template <class Io, Is<std::vector<obs::MetricSample>> T>
+void io(Io& s, T& samples) {
+  s.list(samples, kMaxStatsSamples, "stats sample");
+}
+
+template <class Io, Is<TraceDumpInfo> T>
+void io(Io& s, T& d) {
+  s.u32(d.anomalies);
+  s.u32(d.spans);
+  s.u64(d.events_recorded);
+  s.u64(d.events_dropped);
+  s.blob(d.trace_json, kMaxTraceBytes);
+}
+
+/// kCancel carries the target id; kCancelResult adds whether it was
+/// cancelled.
+template <class Io, class Id>
+void cancel_io(Io& s, Id& target) {
+  s.u64(target);
+}
+
+template <class Io, class Id, class Flag>
+void cancel_io(Io& s, Id& target, Flag& cancelled) {
+  s.u64(target);
+  s.boolean(cancelled);
+}
+
+template <class Io, class Code, class Text>
+void error_io(Io& s, Code& code, Text& message) {
+  s.enumeration(code, StatusCode::kUnknownOutcome,
+                "invalid error status code");
+  s.str(message);
 }
 
 Status finish(const Reader& r) {
@@ -350,12 +467,32 @@ Status finish(const Reader& r) {
   return Status();
 }
 
-std::vector<std::uint8_t> control_frame(MsgType type,
-                                        std::uint64_t request_id) {
+/// A frame of `type` whose payload is the request id, then whatever
+/// `fields` writes.
+template <class Fields>
+std::vector<std::uint8_t> make_frame(MsgType type, std::uint64_t request_id,
+                                     Fields&& fields) {
   auto buf = begin_frame();
   Writer w(&buf);
   w.u64(request_id);
+  fields(w);
   return seal(type, std::move(buf));
+}
+
+std::vector<std::uint8_t> control_frame(MsgType type,
+                                        std::uint64_t request_id) {
+  return make_frame(type, request_id, [](Writer&) {});
+}
+
+/// The typed reply frame carrying `result`'s payload, which must be a `P`.
+template <class P>
+Status reply_frame(MsgType type, std::uint64_t request_id,
+                   const service::JobResult& result,
+                   std::vector<std::uint8_t>* out) {
+  const auto* p = std::get_if<P>(&result.payload);
+  if (p == nullptr) return Status::error("payload/type mismatch");
+  *out = make_frame(type, request_id, [&](Writer& w) { io(w, *p); });
+  return Status();
 }
 
 }  // namespace
@@ -371,7 +508,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kDseSweep: return "dse.sweep";
     case MsgType::kStats: return "stats";
     case MsgType::kCancel: return "cancel";
-    case MsgType::kHealth: return "health";
     case MsgType::kTraceDump: return "trace.dump";
     case MsgType::kPong: return "pong";
     case MsgType::kJpegBlockResult: return "jpeg.block.result";
@@ -381,7 +517,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kStatsResult: return "stats.result";
     case MsgType::kCancelResult: return "cancel.result";
     case MsgType::kError: return "error";
-    case MsgType::kHealthResult: return "health.result";
     case MsgType::kTraceDumpResult: return "trace.dump.result";
   }
   return "?";
@@ -396,7 +531,6 @@ bool msg_type_is_request(MsgType type) noexcept {
     case MsgType::kDseSweep:
     case MsgType::kStats:
     case MsgType::kCancel:
-    case MsgType::kHealth:
     case MsgType::kTraceDump:
       return true;
     default:
@@ -475,10 +609,6 @@ std::vector<std::uint8_t> encode_stats(std::uint64_t request_id) {
   return control_frame(MsgType::kStats, request_id);
 }
 
-std::vector<std::uint8_t> encode_health(std::uint64_t request_id) {
-  return control_frame(MsgType::kHealth, request_id);
-}
-
 std::vector<std::uint8_t> encode_trace_dump(std::uint64_t request_id) {
   return control_frame(MsgType::kTraceDump, request_id);
 }
@@ -489,83 +619,35 @@ std::vector<std::uint8_t> encode_pong(std::uint64_t request_id) {
 
 std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id,
                                         std::uint64_t target_id) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  w.u64(target_id);
-  return seal(MsgType::kCancel, std::move(buf));
+  return make_frame(MsgType::kCancel, request_id,
+                    [&](Writer& w) { cancel_io(w, target_id); });
 }
 
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
                                        std::string_view message,
                                        StatusCode code) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  w.u8(static_cast<std::uint8_t>(code == StatusCode::kOk ? StatusCode::kError
-                                                         : code));
-  w.str(message.substr(0, kMaxStringBytes));
-  return seal(MsgType::kError, std::move(buf));
-}
-
-std::vector<std::uint8_t> encode_health_result(std::uint64_t request_id,
-                                               const HealthInfo& health) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  w.boolean(health.accepting);
-  w.u32(health.queue_depth);
-  w.u32(health.queue_capacity);
-  w.u32(health.workers);
-  w.u32(health.connections);
-  return seal(MsgType::kHealthResult, std::move(buf));
+  const StatusCode wire = code == StatusCode::kOk ? StatusCode::kError : code;
+  return make_frame(MsgType::kError, request_id,
+                    [&](Writer& w) { error_io(w, wire, message); });
 }
 
 std::vector<std::uint8_t> encode_cancel_result(std::uint64_t request_id,
                                                std::uint64_t target_id,
                                                bool cancelled) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  w.u64(target_id);
-  w.boolean(cancelled);
-  return seal(MsgType::kCancelResult, std::move(buf));
+  return make_frame(MsgType::kCancelResult, request_id,
+                    [&](Writer& w) { cancel_io(w, target_id, cancelled); });
 }
 
 std::vector<std::uint8_t> encode_stats_result(
     std::uint64_t request_id, const std::vector<obs::MetricSample>& samples) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  const std::uint32_t n = static_cast<std::uint32_t>(
-      std::min<std::size_t>(samples.size(), kMaxStatsSamples));
-  w.u32(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    w.str(std::string_view(samples[i].name).substr(0, kMaxStringBytes));
-    w.boolean(samples[i].is_counter);
-    w.f64(samples[i].value);
-  }
-  return seal(MsgType::kStatsResult, std::move(buf));
+  return make_frame(MsgType::kStatsResult, request_id,
+                    [&](Writer& w) { io(w, samples); });
 }
 
 std::vector<std::uint8_t> encode_trace_dump_result(std::uint64_t request_id,
                                                    const TraceDumpInfo& info) {
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request_id);
-  w.u32(info.anomalies);
-  w.u32(info.spans);
-  w.u64(info.events_recorded);
-  w.u64(info.events_dropped);
-  if (info.trace_json.size() > kMaxTraceBytes) {
-    std::vector<std::uint8_t> truncated(
-        info.trace_json.begin(),
-        info.trace_json.begin() + static_cast<long>(kMaxTraceBytes));
-    w.bytes(truncated);
-  } else {
-    w.bytes(info.trace_json);
-  }
-  return seal(MsgType::kTraceDumpResult, std::move(buf));
+  return make_frame(MsgType::kTraceDumpResult, request_id,
+                    [&](Writer& w) { io(w, info); });
 }
 
 // --- job request encoder -------------------------------------------------
@@ -577,10 +659,7 @@ Status encode_job_request(std::uint64_t request_id,
   auto buf = begin_frame();
   Writer w(&buf);
   w.u64(request_id);
-  w.u32(options.deadline_ms);
-  w.u64(options.idempotency_id);
-  w.u64(options.trace.trace_id);
-  w.u64(options.trace.parent_span_id);
+  io(w, options);
   MsgType type;
   switch (job.index()) {
     case 0: {
@@ -590,12 +669,7 @@ Status encode_job_request(std::uint64_t request_id,
         return Status::errorf("fault plan has %zu events (bound %u)",
                               r.plan.events.size(), kMaxFaultEvents);
       }
-      write_block(w, r.raw);
-      write_quant(w, r.quant);
-      w.i32(r.rows);
-      w.i32(r.cols);
-      write_fault_plan(w, r.plan);
-      write_policy(w, r.policy);
+      io(w, r);
       break;
     }
     case 1: {
@@ -605,10 +679,7 @@ Status encode_job_request(std::uint64_t request_id,
         return Status::errorf("image payload %zu bytes exceeds the bound %u",
                               r.image.pixels.size(), kMaxPayload / 2);
       }
-      w.i32(r.quality);
-      w.i32(r.image.width);
-      w.i32(r.image.height);
-      w.bytes(r.image.pixels);
+      io(w, r);
       break;
     }
     case 2: {
@@ -618,23 +689,20 @@ Status encode_job_request(std::uint64_t request_id,
         return Status::errorf("FFT input has %zu points (bound %u)",
                               r.input.size(), kMaxFftPoints);
       }
-      w.i32(r.n);
-      w.i32(r.m);
-      w.i32(r.cols);
-      write_cplx_vec(w, r.input);
+      io(w, r);
       break;
     }
     case 3: {
       type = MsgType::kDseSweep;
       const auto& r = std::get<service::DseSweepRequest>(job);
-      if (r.net.processes().size() > kMaxProcesses ||
-          r.net.edges().size() > kMaxEdges) {
+      const auto& procs = r.net.processes();
+      if (procs.size() > kMaxProcesses || r.net.edges().size() > kMaxEdges ||
+          std::any_of(procs.begin(), procs.end(), [](const auto& p) {
+            return p.name.size() > kMaxStringBytes;
+          })) {
         return Status::error("process network exceeds protocol bounds");
       }
-      w.i32(r.max_tiles);
-      w.u8(static_cast<std::uint8_t>(r.algorithm));
-      write_cost_params(w, r.params);
-      write_network(w, r.net);
+      io(w, r);
       break;
     }
     default:
@@ -661,59 +729,27 @@ Status encode_job_result(const Request& request,
                         result.status.code());
     return Status();
   }
-  auto buf = begin_frame();
-  Writer w(&buf);
-  w.u64(request.request_id);
+  const std::uint64_t id = request.request_id;
   switch (request.type) {
-    case MsgType::kJpegBlock: {
-      const auto* p = std::get_if<service::JpegBlockJobResult>(&result.payload);
-      if (p == nullptr) return Status::error("payload/type mismatch");
-      write_block(w, p->zigzagged);
-      w.i64(p->cycles);
-      w.f64(p->reconfig_ns);
-      w.boolean(p->recovered);
-      *out = seal(MsgType::kJpegBlockResult, std::move(buf));
-      return Status();
-    }
+    case MsgType::kJpegBlock:
+      return reply_frame<service::JpegBlockJobResult>(
+          MsgType::kJpegBlockResult, id, result, out);
     case MsgType::kJpegImage: {
-      const auto* p = std::get_if<service::JpegImageJobResult>(&result.payload);
-      if (p == nullptr) return Status::error("payload/type mismatch");
-      if (p->jfif.size() > kMaxPayload / 2) {
+      const auto* p =
+          std::get_if<service::JpegImageJobResult>(&result.payload);
+      if (p != nullptr && p->jfif.size() > kMaxPayload / 2) {
         return Status::errorf("JFIF stream %zu bytes exceeds the bound %u",
                               p->jfif.size(), kMaxPayload / 2);
       }
-      w.i64(p->fabric_cycles);
-      w.bytes(p->jfif);
-      *out = seal(MsgType::kJpegImageResult, std::move(buf));
-      return Status();
+      return reply_frame<service::JpegImageJobResult>(
+          MsgType::kJpegImageResult, id, result, out);
     }
-    case MsgType::kFft: {
-      const auto* p = std::get_if<service::FftJobResult>(&result.payload);
-      if (p == nullptr) return Status::error("payload/type mismatch");
-      w.i32(p->epochs);
-      w.f64(p->timeline.epoch_compute_ns);
-      w.f64(p->timeline.reconfig_ns);
-      write_cplx_vec(w, p->output);
-      *out = seal(MsgType::kFftResult, std::move(buf));
-      return Status();
-    }
-    case MsgType::kDseSweep: {
-      const auto* p = std::get_if<service::DseSweepJobResult>(&result.payload);
-      if (p == nullptr) return Status::error("payload/type mismatch");
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::size_t>(p->points.size(), kMaxSweepPoints));
-      w.u32(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& pt = p->points[i];
-        w.i32(pt.tiles);
-        w.f64(pt.eval.ii_ns);
-        w.f64(pt.eval.items_per_sec);
-        w.f64(pt.eval.avg_utilization);
-        w.boolean(pt.eval.needs_reconfig);
-      }
-      *out = seal(MsgType::kDseSweepResult, std::move(buf));
-      return Status();
-    }
+    case MsgType::kFft:
+      return reply_frame<service::FftJobResult>(MsgType::kFftResult, id,
+                                                result, out);
+    case MsgType::kDseSweep:
+      return reply_frame<service::DseSweepJobResult>(
+          MsgType::kDseSweepResult, id, result, out);
     default:
       return Status::errorf("request type %s has no job result",
                             msg_type_name(request.type));
@@ -729,66 +765,30 @@ Status decode_request(const Frame& frame, Request* out) {
   }
   Reader r(frame.payload);
   out->type = frame.header.type;
-  out->request_id = r.u64();
+  r.u64(out->request_id);
   out->options = JobFrameOptions{};
   out->cancel_target = 0;
-  if (msg_type_is_job(frame.header.type)) {
-    out->options.deadline_ms = r.u32();
-    out->options.idempotency_id = r.u64();
-    out->options.trace.trace_id = r.u64();
-    out->options.trace.parent_span_id = r.u64();
-  }
+  if (msg_type_is_job(frame.header.type)) io(r, out->options);
   switch (frame.header.type) {
     case MsgType::kPing:
     case MsgType::kStats:
-    case MsgType::kHealth:
     case MsgType::kTraceDump:
       break;
     case MsgType::kCancel:
-      out->cancel_target = r.u64();
+      cancel_io(r, out->cancel_target);
       break;
-    case MsgType::kJpegBlock: {
-      service::JpegBlockRequest req;
-      req.raw = read_block(r);
-      req.quant = read_quant(r);
-      req.rows = r.i32();
-      req.cols = r.i32();
-      req.plan = read_fault_plan(r);
-      req.policy = read_policy(r);
-      out->job = std::move(req);
+    case MsgType::kJpegBlock:
+      io(r, out->job.emplace<service::JpegBlockRequest>());
       break;
-    }
-    case MsgType::kJpegImage: {
-      service::JpegImageRequest req;
-      req.quality = r.i32();
-      req.image.width = r.i32();
-      req.image.height = r.i32();
-      req.image.pixels = r.blob(kMaxPayload / 2);
-      out->job = std::move(req);
+    case MsgType::kJpegImage:
+      io(r, out->job.emplace<service::JpegImageRequest>());
       break;
-    }
-    case MsgType::kFft: {
-      service::FftRequest req;
-      req.n = r.i32();
-      req.m = r.i32();
-      req.cols = r.i32();
-      req.input = read_cplx_vec(r);
-      out->job = std::move(req);
+    case MsgType::kFft:
+      io(r, out->job.emplace<service::FftRequest>());
       break;
-    }
-    case MsgType::kDseSweep: {
-      service::DseSweepRequest req;
-      req.max_tiles = r.i32();
-      const std::uint8_t algo = r.u8();
-      if (algo > static_cast<std::uint8_t>(mapping::RebalanceAlgorithm::kOpt)) {
-        return Status::errorf("unknown rebalance algorithm %u", algo);
-      }
-      req.algorithm = static_cast<mapping::RebalanceAlgorithm>(algo);
-      req.params = read_cost_params(r);
-      req.net = read_network(r);
-      out->job = std::move(req);
+    case MsgType::kDseSweep:
+      io(r, out->job.emplace<service::DseSweepRequest>());
       break;
-    }
     default:
       return Status::errorf("unhandled request type %s",
                             msg_type_name(frame.header.type));
@@ -805,108 +805,44 @@ Status decode_response(const Frame& frame, Response* out) {
   }
   Reader r(frame.payload);
   out->type = frame.header.type;
-  out->request_id = r.u64();
-  out->result = service::JobResult{};
+  r.u64(out->request_id);
+  out->result = service::JobResult{Status(), {}};
   out->dse_points.clear();
   out->stats.clear();
   out->cancel_target = 0;
   out->cancelled = false;
-  out->health = HealthInfo{};
   out->trace_dump = TraceDumpInfo{};
   switch (frame.header.type) {
     case MsgType::kPong:
-      out->result.status = Status();
-      break;
-    case MsgType::kHealthResult:
-      out->health.accepting = r.boolean();
-      out->health.queue_depth = r.u32();
-      out->health.queue_capacity = r.u32();
-      out->health.workers = r.u32();
-      out->health.connections = r.u32();
-      out->result.status = Status();
       break;
     case MsgType::kError: {
-      const std::uint8_t raw_code = r.u8();
-      if (raw_code > static_cast<std::uint8_t>(StatusCode::kUnknownOutcome) ||
-          raw_code == static_cast<std::uint8_t>(StatusCode::kOk)) {
-        return Status::errorf("invalid error status code %u", raw_code);
-      }
-      const std::string message = r.str();
-      if (r.ok()) {
-        out->result.status =
-            Status::coded(static_cast<StatusCode>(raw_code), message);
-      }
+      StatusCode code = StatusCode::kError;
+      std::string message;
+      error_io(r, code, message);
+      out->result.status = Status::coded(code, std::move(message));
       break;
     }
     case MsgType::kCancelResult:
-      out->cancel_target = r.u64();
-      out->cancelled = r.boolean();
-      out->result.status = Status();
+      cancel_io(r, out->cancel_target, out->cancelled);
       break;
     case MsgType::kTraceDumpResult:
-      out->trace_dump.anomalies = r.u32();
-      out->trace_dump.spans = r.u32();
-      out->trace_dump.events_recorded = r.u64();
-      out->trace_dump.events_dropped = r.u64();
-      out->trace_dump.trace_json = r.blob(kMaxTraceBytes);
-      out->result.status = Status();
+      io(r, out->trace_dump);
       break;
-    case MsgType::kStatsResult: {
-      const std::uint32_t n = r.count(kMaxStatsSamples, "stats sample");
-      out->stats.reserve(n);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        obs::MetricSample s;
-        s.name = r.str();
-        s.is_counter = r.boolean();
-        s.value = r.f64();
-        out->stats.push_back(std::move(s));
-      }
-      out->result.status = Status();
+    case MsgType::kStatsResult:
+      io(r, out->stats);
       break;
-    }
-    case MsgType::kJpegBlockResult: {
-      service::JpegBlockJobResult p;
-      p.zigzagged = read_block(r);
-      p.cycles = r.i64();
-      p.reconfig_ns = r.f64();
-      p.recovered = r.boolean();
-      out->result.status = Status();
-      out->result.payload = std::move(p);
+    case MsgType::kJpegBlockResult:
+      io(r, out->result.payload.emplace<service::JpegBlockJobResult>());
       break;
-    }
-    case MsgType::kJpegImageResult: {
-      service::JpegImageJobResult p;
-      p.fabric_cycles = r.i64();
-      p.jfif = r.blob(kMaxPayload / 2);
-      out->result.status = Status();
-      out->result.payload = std::move(p);
+    case MsgType::kJpegImageResult:
+      io(r, out->result.payload.emplace<service::JpegImageJobResult>());
       break;
-    }
-    case MsgType::kFftResult: {
-      service::FftJobResult p;
-      p.epochs = r.i32();
-      p.timeline.epoch_compute_ns = r.f64();
-      p.timeline.reconfig_ns = r.f64();
-      p.output = read_cplx_vec(r);
-      out->result.status = Status();
-      out->result.payload = std::move(p);
+    case MsgType::kFftResult:
+      io(r, out->result.payload.emplace<service::FftJobResult>());
       break;
-    }
-    case MsgType::kDseSweepResult: {
-      const std::uint32_t n = r.count(kMaxSweepPoints, "sweep point");
-      out->dse_points.reserve(n);
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        DseWirePoint pt;
-        pt.tiles = r.i32();
-        pt.ii_ns = r.f64();
-        pt.items_per_sec = r.f64();
-        pt.avg_utilization = r.f64();
-        pt.needs_reconfig = r.boolean();
-        out->dse_points.push_back(pt);
-      }
-      out->result.status = Status();
+    case MsgType::kDseSweepResult:
+      io(r, out->dse_points);
       break;
-    }
     default:
       return Status::errorf("unhandled response type %s",
                             msg_type_name(frame.header.type));

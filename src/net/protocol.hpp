@@ -21,9 +21,8 @@
 // u64 parent span id, client-generated, zero = untraced).  kError
 // payloads lead with a StatusCode byte so clients can distinguish
 // "unavailable, retry later" from "deadline exceeded" without string
-// matching, and kHealth/kHealthResult report server readiness for
-// load-shed-aware clients.  kTraceDump / kTraceDumpResult frames pull the
-// server's merged trace JSON and flight-recorder anomaly summary live
+// matching.  kTraceDump / kTraceDumpResult frames pull the server's
+// merged trace JSON and flight-recorder anomaly summary live
 // (docs/OBSERVABILITY.md, "Wire tracing").  Decoders accept kVersion only;
 // a frame of any other version is rejected like a bad magic.
 //
@@ -36,13 +35,16 @@
 // point — the paper's Fig. 16/17 numbers); the Binding structure stays
 // server-side.
 //
-// Decoding is defensive: every read is bounds-checked against the
-// payload, element counts are capped (kMax* limits below) so a hostile
-// length field cannot drive an allocation, and any violation returns a
-// Status error naming the offending field.  Malformed *framing* (bad
-// magic/version/oversized length) is unrecoverable for the stream; the
-// server closes the connection.  Malformed *payloads* inside a valid
-// frame are answered with kError and the stream continues.
+// Each payload's field list is written once, as a template over the
+// encoder and the decoder (protocol.cpp), so no field can be encoded
+// without being decoded.  Decoding is defensive: every read is
+// bounds-checked against the payload, element counts are capped (kMax*
+// limits below) so a hostile length field cannot drive an allocation, and
+// any violation returns a Status error naming the offending field.
+// Malformed *framing* (bad magic/version/oversized length) is
+// unrecoverable for the stream; the server closes the connection.
+// Malformed *payloads* inside a valid frame are answered with kError and
+// the stream continues.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +90,8 @@ enum class MsgType : std::uint8_t {
   kDseSweep = 5,
   kStats = 6,
   kCancel = 7,
-  kHealth = 9,  // 8 is skipped so the response slot 72 stays kError's.
+  // 8 is skipped so the response slot 72 stays kError's; 9 and 73 were a
+  // retired readiness frame and its reply.
   kTraceDump = 10,
 
   kPong = 65,
@@ -99,7 +102,6 @@ enum class MsgType : std::uint8_t {
   kStatsResult = 70,
   kCancelResult = 71,
   kError = 72,
-  kHealthResult = 73,
   kTraceDumpResult = 74,
 };
 
@@ -161,16 +163,6 @@ struct DseWirePoint {
   bool needs_reconfig = false;
 };
 
-/// Server readiness snapshot (kHealthResult payload).
-struct HealthInfo {
-  bool accepting = false;            ///< False while draining/shutting down.
-  std::uint32_t queue_depth = 0;     ///< Jobs waiting in the service queue.
-  std::uint32_t queue_capacity = 0;  ///< Queue bound (admission rejects past
-                                     ///< this).
-  std::uint32_t workers = 0;         ///< Live worker threads.
-  std::uint32_t connections = 0;     ///< Open client connections.
-};
-
 /// kTraceDumpResult payload: the server's flight-recorder counters plus
 /// its merged trace as Chrome trace-event JSON (UTF-8 bytes).
 struct TraceDumpInfo {
@@ -193,7 +185,6 @@ struct Response {
   std::vector<obs::MetricSample> stats;       ///< kStatsResult.
   std::uint64_t cancel_target = 0;            ///< kCancelResult.
   bool cancelled = false;                     ///< kCancelResult.
-  HealthInfo health;                          ///< kHealthResult.
   TraceDumpInfo trace_dump;                   ///< kTraceDumpResult.
 };
 
@@ -204,18 +195,16 @@ struct Response {
 [[nodiscard]] std::vector<std::uint8_t> encode_stats(std::uint64_t request_id);
 [[nodiscard]] std::vector<std::uint8_t> encode_cancel(
     std::uint64_t request_id, std::uint64_t target_id);
-[[nodiscard]] std::vector<std::uint8_t> encode_health(
-    std::uint64_t request_id);
 [[nodiscard]] std::vector<std::uint8_t> encode_trace_dump(
     std::uint64_t request_id);
 [[nodiscard]] std::vector<std::uint8_t> encode_pong(std::uint64_t request_id);
 [[nodiscard]] std::vector<std::uint8_t> encode_error(
     std::uint64_t request_id, std::string_view message,
     StatusCode code = StatusCode::kError);
-[[nodiscard]] std::vector<std::uint8_t> encode_health_result(
-    std::uint64_t request_id, const HealthInfo& health);
 [[nodiscard]] std::vector<std::uint8_t> encode_cancel_result(
     std::uint64_t request_id, std::uint64_t target_id, bool cancelled);
+/// Keeps the first kMaxStatsSamples samples, each name cut to
+/// kMaxStringBytes (error messages are cut the same way).
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_result(
     std::uint64_t request_id, const std::vector<obs::MetricSample>& samples);
 /// The trace JSON is truncated to kMaxTraceBytes (at which point it no

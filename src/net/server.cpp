@@ -166,7 +166,6 @@ Server::Server(service::Service* service, ServerOptions opt)
         o.max_inflight_per_connection =
             std::max(1, o.max_inflight_per_connection);
         o.write_backlog_limit = std::max<std::size_t>(o.write_backlog_limit, 1);
-        o.admission_burst = std::max(1, o.admission_burst);
         return o;
       }()),
       epoch_(std::chrono::steady_clock::now()) {
@@ -177,8 +176,6 @@ Server::Server(service::Service* service, ServerOptions opt)
     tracer_ = own_tracer_.get();
   }
   if (opt_.chaos != nullptr) opt_.chaos->attach_tracer(tracer_);
-  admission_tokens_ = static_cast<double>(opt_.admission_burst);
-  admission_refill_ = std::chrono::steady_clock::now();
   accepted_ = metrics_.counter("net.connections.accepted");
   refused_ = metrics_.counter("net.connections.refused");
   closed_ = metrics_.counter("net.connections.closed");
@@ -195,7 +192,6 @@ Server::Server(service::Service* service, ServerOptions opt)
   service_backpressure_ = metrics_.counter("net.backpressure.service");
   idempotent_hits_ = metrics_.counter("net.idempotent.hits");
   deadline_submits_ = metrics_.counter("net.deadline.submits");
-  admission_shed_ = metrics_.counter("net.admission.shed");
   bytes_in_ = metrics_.counter("net.bytes.in");
   bytes_out_ = metrics_.counter("net.bytes.out");
   const std::vector<double> latency_bounds = {0.1, 0.25, 0.5,  1.0,  2.5,
@@ -306,21 +302,6 @@ std::vector<obs::MetricSample> Server::metrics_samples() const {
     samples.push_back({h.name + ".p99", false, histogram_quantile(h, 0.99)});
   }
   return samples;
-}
-
-bool Server::admission_allow() {
-  if (opt_.admission_rate <= 0.0) return true;
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  const auto now = std::chrono::steady_clock::now();
-  const double dt =
-      std::chrono::duration<double>(now - admission_refill_).count();
-  admission_refill_ = now;
-  admission_tokens_ =
-      std::min(static_cast<double>(opt_.admission_burst),
-               admission_tokens_ + dt * opt_.admission_rate);
-  if (admission_tokens_ < 1.0) return false;
-  admission_tokens_ -= 1.0;
-  return true;
 }
 
 void Server::wake_shard(Shard* shard) {
@@ -567,18 +548,6 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
       queue_ready(encode_stats_result(req.request_id, samples));
       break;
     }
-    case MsgType::kHealth: {
-      HealthInfo info;
-      info.accepting = running() && service_->accepting();
-      info.queue_depth = static_cast<std::uint32_t>(service_->queue_depth());
-      info.queue_capacity =
-          static_cast<std::uint32_t>(service_->queue_capacity());
-      info.workers = static_cast<std::uint32_t>(service_->workers());
-      info.connections = static_cast<std::uint32_t>(
-          std::max(0, open_conns_.load(std::memory_order_relaxed)));
-      queue_ready(encode_health_result(req.request_id, info));
-      break;
-    }
     case MsgType::kTraceDump: {
       TraceDumpInfo info;
       info.anomalies =
@@ -617,19 +586,6 @@ bool Server::handle_frame(const std::shared_ptr<Shard>& shard,
         if (handle != nullptr) {
           metrics_.add(idempotent_hits_);
         }
-      }
-      // Admission control: retries of remembered work pass (they cost
-      // nothing); fresh submissions spend a token or get shed visibly.
-      if (handle == nullptr && !admission_allow()) {
-        metrics_.add(admission_shed_);
-        if (req.options.trace.valid()) {
-          tracer_->note_anomaly(req.options.trace, obs::AnomalyReason::kError,
-                                "admission control shed the request");
-        }
-        queue_error(req.request_id,
-                    "admission control: request shed, retry later",
-                    StatusCode::kUnavailable);
-        break;
       }
       if (handle == nullptr) {
         service::SubmitOptions sopt;
@@ -803,8 +759,6 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->last_rx = std::chrono::steady_clock::now();
-    // Count before handing off: a health frame served right away on the
-    // shard must already see this connection.
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     metrics_.add(accepted_);
     Shard* shard =

@@ -25,8 +25,6 @@
 //
 // Backpressure is surfaced, never silently dropped:
 //   * in-flight cap / service saturation  -> kError reply, stream lives;
-//   * token-bucket admission control (ServerOptions::admission_rate)
-//     sheds job frames with kUnavailable replies (net.admission.shed);
 //   * a slow READER whose unsent replies exceed write_backlog_limit is
 //     closed (net.conn_closed.write_backlog) instead of holding shard
 //     memory hostage.
@@ -39,8 +37,7 @@
 // Ids deduplicate retries server-side — a repeat of an id the server
 // has seen attaches to the ORIGINAL job's handle instead of submitting
 // again, so a client retrying after an ambiguous failure can never
-// double-execute work.  kHealth frames answer a readiness snapshot
-// without touching the job queue.
+// double-execute work.
 //
 // Every connection close is attributed to a structured reason
 // (net.conn_closed.{peer_eof,idle_timeout,malformed,write_error,chaos,
@@ -124,11 +121,6 @@ struct ServerOptions {
   /// the limit is closed (kWriteBacklog) rather than growing the queue
   /// without bound.
   std::size_t write_backlog_limit = 4u << 20;
-  /// Token-bucket admission control over job frames: sustained
-  /// requests/s (0 disables) with `admission_burst` of headroom.  Shed
-  /// requests are answered kUnavailable — never silently dropped.
-  double admission_rate = 0.0;
-  int admission_burst = 64;
 };
 
 class Server {
@@ -206,9 +198,6 @@ class Server {
                     const std::shared_ptr<Connection>& conn);
   void update_epoll(Shard* shard, Connection* conn);
 
-  /// Token-bucket admission: true when the job frame may proceed.
-  bool admission_allow();
-
   /// Record why `conn` is going down (first cause wins).
   void note_close(Connection* conn, CloseReason reason);
   /// Count one closed connection under its recorded reason.
@@ -241,11 +230,6 @@ class Server {
   std::atomic<std::size_t> next_shard_{0};  ///< Round-robin pin cursor.
   std::atomic<int> open_conns_{0};
 
-  /// Token-bucket state for admission control (shards contend briefly).
-  std::mutex admission_mu_;
-  double admission_tokens_ = 0.0;
-  std::chrono::steady_clock::time_point admission_refill_;
-
   /// Idempotency id -> original job handle, FIFO-evicted at
   /// reply_cache_capacity.  Guarded by cache_mu_.
   std::mutex cache_mu_;
@@ -267,7 +251,6 @@ class Server {
   obs::CounterHandle service_backpressure_;
   obs::CounterHandle idempotent_hits_;
   obs::CounterHandle deadline_submits_;
-  obs::CounterHandle admission_shed_;
   obs::CounterHandle bytes_in_;
   obs::CounterHandle bytes_out_;
   /// Per-request-type latency histograms, indexed by job MsgType -

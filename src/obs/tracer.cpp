@@ -64,8 +64,6 @@ const char* anomaly_reason_name(AnomalyReason reason) {
       return "deadline-exceeded";
     case AnomalyReason::kCrashResume:
       return "crash-resume";
-    case AnomalyReason::kBreakerOpen:
-      return "breaker-open";
     case AnomalyReason::kError:
       return "error";
     case AnomalyReason::kSlowTail:

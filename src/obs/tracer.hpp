@@ -12,7 +12,7 @@
 // The flight recorder is a fixed-size lock-free ring of compact events
 // (enqueue, lease, batch-attach, chaos fire, retry, deadline check):
 // ~one atomic RMW per event on the hot path.  When a job ends
-// abnormally (deadline exceeded, crash-resume, breaker open) or lands in
+// abnormally (deadline exceeded, crash-resume, error) or lands in
 // the slowest-p99 reservoir, the ring is snapshotted into an
 // AnomalyRecord and annotated into the trace — tail-latency exemplars for free.  docs/OBSERVABILITY.md has
 // the Perfetto walkthrough.
@@ -81,7 +81,7 @@ struct FlightEvent {
 enum class AnomalyReason : std::uint8_t {
   kDeadlineExceeded = 0,
   kCrashResume = 1,
-  kBreakerOpen = 2,
+  // 2 was the client circuit breaker's; the values are kept stable.
   kError = 3,
   kSlowTail = 4,  ///< Landed in the slowest-p99 reservoir.
 };

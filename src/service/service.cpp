@@ -234,11 +234,6 @@ std::size_t Service::queue_depth() const {
   return queue_.size();
 }
 
-bool Service::accepting() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !stopping_;
-}
-
 std::int64_t Service::counter(std::string_view name) const {
   return metrics_.counter_value(name);
 }

@@ -126,13 +126,6 @@ class Service {
   /// Queued-but-not-started jobs right now.
   [[nodiscard]] std::size_t queue_depth() const;
 
-  /// Readiness facts the network layer's health frame reports.
-  [[nodiscard]] int queue_capacity() const noexcept {
-    return opt_.queue_capacity;
-  }
-  [[nodiscard]] int workers() const noexcept { return opt_.workers; }
-  [[nodiscard]] bool accepting() const;
-
   /// Counter by full metric name (e.g. "cache.hit"); callable from any
   /// thread while jobs run.
   [[nodiscard]] std::int64_t counter(std::string_view name) const;

@@ -1,8 +1,8 @@
 // Chaos-hardening tests: every Hook in src/chaos/chaos.hpp is exercised
 // at least once against the real serving stack, and the robustness
 // machinery it targets — deadline propagation, idempotent reply dedup,
-// worker crash-resume, lease retry, circuit breaking, structured close
-// reasons — is asserted to keep results bit-identical to a calm run.
+// worker crash-resume, lease retry, structured close reasons — is
+// asserted to keep results bit-identical to a calm run.
 // Labelled `chaos` in CMake; runs under asan and tsan presets in CI.
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@ namespace {
 using net::CallOptions;
 using net::Client;
 using net::ClientOptions;
-using net::HealthInfo;
 using net::MsgType;
 using net::Server;
 using net::ServerOptions;
@@ -487,53 +486,7 @@ TEST(ChaosIdempotency, NonIdempotentPostSendFailureIsUnknownOutcome) {
   EXPECT_EQ(rig.svc.counter("service.jobs.submitted"), 1);
 }
 
-// --- circuit breaker ------------------------------------------------------
-
-TEST(ChaosBreaker, OpensFailsFastAndRecloses) {
-  ChaosRig rig;
-  ChaosPlan plan;
-  plan.fail(Hook::kClientConnect, /*first=*/1, /*count=*/2);
-  ChaosInjector inj(plan);
-  ClientOptions copt;
-  copt.port = rig.server.port();
-  copt.max_retries = 0;
-  copt.breaker_threshold = 2;
-  copt.breaker_cooldown_ms = 100;
-  copt.chaos = &inj;
-  Client client(copt);
-
-  EXPECT_FALSE(client.ping().ok());
-  EXPECT_FALSE(client.ping().ok());
-  EXPECT_TRUE(client.breaker_open());
-
-  // Open: fails fast without another connect attempt.
-  const int attempts = client.connect_attempts();
-  const auto fast = client.ping();
-  ASSERT_FALSE(fast.ok());
-  EXPECT_EQ(fast.code(), StatusCode::kUnavailable) << fast.message();
-  EXPECT_EQ(client.connect_attempts(), attempts);
-
-  // Cooldown passes; the half-open probe (chaos exhausted) succeeds and
-  // closes the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const auto probe = client.ping();
-  EXPECT_TRUE(probe.ok()) << probe.message();
-  EXPECT_FALSE(client.breaker_open());
-}
-
-// --- health & close reasons ----------------------------------------------
-
-TEST(ChaosHealth, HealthFrameReportsReadiness) {
-  ChaosRig rig(nullptr, nullptr, {.workers = 3, .queue_capacity = 17});
-  auto client = rig.client();
-  HealthInfo info;
-  const auto s = client.health(&info);
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(info.accepting);
-  EXPECT_EQ(info.workers, 3u);
-  EXPECT_EQ(info.queue_capacity, 17u);
-  EXPECT_GE(info.connections, 1u);
-}
+// --- close reasons --------------------------------------------------------
 
 TEST(ChaosCloseReasons, PeerEofAndIdleTimeoutAreAttributed) {
   ServerOptions nopt;

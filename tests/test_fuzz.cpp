@@ -1,13 +1,18 @@
 // Randomised robustness tests: seeded "fuzzing" of the decoders, codecs
-// and algorithms.  Nothing here may crash; errors must surface as Status /
-// ok-flags, and round-trip properties must hold for arbitrary valid input.
+// and algorithms, including a mutational fuzzer over the wire codec seeded
+// with the golden frames and one over disassembled programs.  Nothing
+// here may crash; errors must surface as Status / ok-flags, and round-trip
+// properties must hold for arbitrary valid input.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "apps/jpeg/decoder.hpp"
 #include "apps/jpeg/encoder.hpp"
 #include "common/prng.hpp"
 #include "isa/assembler.hpp"
 #include "isa/disassembler.hpp"
+#include "golden_frames.hpp"
 #include "mapping/rebalance.hpp"
 
 namespace cgra {
@@ -15,16 +20,13 @@ namespace {
 
 // ---- random instruction round-trips through the full text pipeline ----
 
-class IsaFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(IsaFuzz, RandomInstructionsSurviveDisassembleReassemble) {
-  SplitMix64 rng(GetParam());
+/// 200 random instructions in the forms the assembler syntax can express.
+isa::Program random_program(SplitMix64& rng) {
   isa::Program prog;
   for (int i = 0; i < 200; ++i) {
     isa::Instruction in;
     in.opcode = static_cast<isa::Opcode>(
         rng.next_below(static_cast<std::uint64_t>(isa::Opcode::kOpcodeCount)));
-    // Generate flag combinations the assembler syntax can express.
     if (isa::writes_dst(in.opcode)) {
       in.dst = static_cast<std::uint16_t>(rng.next_below(512));
       if (rng.next_below(2) != 0) in.flags |= isa::kFlagDstIndirect;
@@ -50,6 +52,14 @@ TEST_P(IsaFuzz, RandomInstructionsSurviveDisassembleReassemble) {
     }
     prog.code.push_back(in);
   }
+  return prog;
+}
+
+class IsaFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IsaFuzz, RandomInstructionsSurviveDisassembleReassemble) {
+  SplitMix64 rng(GetParam());
+  const isa::Program prog = random_program(rng);
   const auto round = isa::assemble(isa::disassemble(prog));
   ASSERT_TRUE(round.ok()) << round.status.message();
   ASSERT_EQ(round.program.code.size(), prog.code.size());
@@ -71,6 +81,204 @@ TEST(IsaFuzz, GarbageSourceNeverCrashes) {
     }
     const auto result = isa::assemble(junk);  // must not crash or hang
     (void)result.ok();
+  }
+}
+
+TEST(IsaFuzz, MutatedDisassemblyNeverCrashes) {
+  // Near-valid source reaches deeper into the assembler than random bytes:
+  // drop or duplicate a line, swap two tokens, or edit the digits of one.
+  for (const std::uint64_t seed : {1u, 7u, 99u, 1234u}) {
+    SplitMix64 rng(seed);
+    std::vector<std::string> lines;
+    std::istringstream text(isa::disassemble(random_program(rng)));
+    for (std::string line; std::getline(text, line);) lines.push_back(line);
+    for (int round = 0; round < 300; ++round) {
+      auto src = lines;
+      const auto pick = [&] { return rng.next_below(src.size()); };
+      for (int m = 1 + static_cast<int>(rng.next_below(3)); m > 0; --m) {
+        switch (rng.next_below(4)) {
+          case 0:  // drop a line
+            src.erase(src.begin() + static_cast<long>(pick()));
+            break;
+          case 1:  // duplicate a line
+            src.insert(src.begin() + static_cast<long>(pick()), src[pick()]);
+            break;
+          case 2: {  // swap two whitespace-separated tokens
+            std::string& a = src[pick()];
+            std::string& b = src[pick()];
+            const auto token = [&](std::string& line) {
+              std::vector<std::pair<std::size_t, std::size_t>> spans;
+              for (std::size_t i = 0; i < line.size();) {
+                const std::size_t start = line.find_first_not_of(' ', i);
+                if (start == std::string::npos) break;
+                const std::size_t end = std::min(line.find(' ', start),
+                                                 line.size());
+                spans.emplace_back(start, end - start);
+                i = end;
+              }
+              return spans.empty() ? std::pair<std::size_t, std::size_t>{0, 0}
+                                   : spans[rng.next_below(spans.size())];
+            };
+            const auto [ap, an] = token(a);
+            const auto [bp, bn] = token(b);
+            const std::string ta = a.substr(ap, an);
+            const std::string tb = b.substr(bp, bn);
+            if (&a == &b) break;
+            a.replace(ap, an, tb);
+            b.replace(bp, bn, ta);
+            break;
+          }
+          default: {  // edit digits: replace one, or grow it past any bound
+            std::string& line = src[pick()];
+            const std::size_t at = line.find_first_of("0123456789");
+            if (at == std::string::npos) break;
+            if (rng.next_below(2) == 0) {
+              line[at] = static_cast<char>('0' + rng.next_below(10));
+            } else {
+              line.insert(at, std::string(1 + rng.next_below(12), '9'));
+            }
+            break;
+          }
+        }
+        if (src.empty()) break;
+      }
+      std::string joined;
+      for (const auto& line : src) joined += line + "\n";
+      const auto result = isa::assemble(joined);  // must simply return
+      (void)result.ok();
+    }
+  }
+}
+
+// ---- wire codec: mutate the golden frames ----
+
+constexpr std::uint32_t kCountCaps[] = {
+    net::kMaxFftPoints,    net::kMaxFaultEvents,   net::kMaxProcesses,
+    net::kMaxEdges,        net::kMaxSweepPoints,   net::kMaxStatsSamples,
+    net::kMaxStringBytes,  net::kMaxTraceBytes,    net::kMaxPayload / 2};
+
+void put_u32(std::vector<std::uint8_t>& f, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    f[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Decode `bytes` the way a connection would, and check the properties:
+/// the decoders return a Status, and a job request that decodes is a
+/// fixed point of re-encoding.
+void check_frame(const std::vector<std::uint8_t>& bytes) {
+  net::Frame frame;
+  if (!net::decode_header(bytes, &frame.header).ok()) return;
+  if (bytes.size() - net::kHeaderSize < frame.header.payload_len) return;
+  const auto body = bytes.begin() + static_cast<long>(net::kHeaderSize);
+  frame.payload.assign(body, body + frame.header.payload_len);
+  net::Response resp;
+  (void)net::decode_response(frame, &resp);
+  net::Request req;
+  if (!net::decode_request(frame, &req).ok() ||
+      !net::msg_type_is_job(req.type)) {
+    return;
+  }
+  std::vector<std::uint8_t> once;
+  ASSERT_TRUE(
+      net::encode_job_request(req.request_id, req.job, &once, req.options)
+          .ok());
+  net::Frame again;
+  ASSERT_TRUE(net::decode_header(once, &again.header).ok());
+  again.payload.assign(once.begin() + static_cast<long>(net::kHeaderSize),
+                       once.end());
+  net::Request req2;
+  const Status s = net::decode_request(again, &req2);
+  ASSERT_TRUE(s.ok()) << s.message();
+  std::vector<std::uint8_t> twice;
+  ASSERT_TRUE(
+      net::encode_job_request(req2.request_id, req2.job, &twice, req2.options)
+          .ok());
+  ASSERT_EQ(once, twice) << net::msg_type_name(req.type);
+}
+
+TEST(WireFuzz, MutatedFramesDecodeToStatusAndRequestsAreFixedPoints) {
+  const auto corpus = net::golden::frames();
+  for (const auto& f : corpus) check_frame(f);
+
+  // Every seed frame with a hostile count at every payload offset, so each
+  // real count field sees both max+1 for every cap and 0xFFFFFFFF.
+  for (const auto& seed : corpus) {
+    for (std::size_t at = net::kHeaderSize; at + 4 <= seed.size(); ++at) {
+      for (const std::uint32_t cap : kCountCaps) {
+        for (const std::uint32_t v : {cap + 1, 0xFFFFFFFFu}) {
+          auto f = seed;
+          put_u32(f, at, v);
+          check_frame(f);
+        }
+      }
+    }
+  }
+
+  // Random stacks of bit flips, byte overwrites, truncations, length
+  // edits, count edits and splices.
+  SplitMix64 rng(0x5EEDF00D);
+  for (int round = 0; round < 60000; ++round) {
+    auto f = corpus[rng.next_below(corpus.size())];
+    for (int m = 1 + static_cast<int>(rng.next_below(3)); m > 0; --m) {
+      const std::size_t payload =
+          f.size() > net::kHeaderSize ? f.size() - net::kHeaderSize : 0;
+      switch (rng.next_below(6)) {
+        case 0:  // bit flip
+          if (!f.empty()) {
+            f[rng.next_below(f.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.next_below(8));
+          }
+          break;
+        case 1: {  // byte overwrite
+          static constexpr std::uint8_t kBytes[] = {0x00, 0x01, 0x02, 0x7F,
+                                                    0x80, 0xFE, 0xFF};
+          if (!f.empty()) {
+            f[rng.next_below(f.size())] =
+                rng.next_below(2) == 0
+                    ? kBytes[rng.next_below(std::size(kBytes))]
+                    : static_cast<std::uint8_t>(rng.next());
+          }
+          break;
+        }
+        case 2:  // truncation
+          f.resize(rng.next_below(f.size() + 1));
+          break;
+        case 3:  // payload-length edit
+          if (f.size() >= net::kHeaderSize) {
+            const std::uint64_t len =
+                rng.next_below(2) == 0
+                    ? payload + rng.next_below(17) - rng.next_below(17)
+                    : rng.next();
+            put_u32(f, 8, static_cast<std::uint32_t>(len));
+          }
+          break;
+        case 4:  // count edit at a random payload offset
+          if (payload >= 4) {
+            const std::uint32_t cap =
+                kCountCaps[rng.next_below(std::size(kCountCaps))];
+            put_u32(f, net::kHeaderSize + rng.next_below(payload - 3),
+                    rng.next_below(2) == 0 ? cap + 1 : 0xFFFFFFFFu);
+          }
+          break;
+        default: {  // splice: a prefix of this frame, a suffix of another
+          const auto& other = corpus[rng.next_below(corpus.size())];
+          if (f.size() < net::kHeaderSize) break;
+          f.resize(net::kHeaderSize + rng.next_below(payload + 1));
+          const std::size_t from =
+              net::kHeaderSize +
+              rng.next_below(other.size() - net::kHeaderSize + 1);
+          f.insert(f.end(), other.begin() + static_cast<long>(from),
+                   other.end());
+          put_u32(f, 8,
+                  static_cast<std::uint32_t>(f.size() - net::kHeaderSize));
+          break;
+        }
+      }
+    }
+    check_frame(f);
+    if (HasFatalFailure()) return;
   }
 }
 
