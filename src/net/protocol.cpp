@@ -25,14 +25,24 @@ class Writer {
   explicit Writer(std::vector<std::uint8_t>* out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i32(std::int32_t v) { le(static_cast<std::uint32_t>(v), 4); }
-  void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
+  void u16(std::uint16_t v) {
+    u8(static_cast<std::uint8_t>(v));
+    u8(static_cast<std::uint8_t>(v >> 8));
+  }
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v));
+    u16(static_cast<std::uint16_t>(v >> 16));
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v));
+    u32(static_cast<std::uint32_t>(v >> 32));
+  }
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    le(bits, 8);
+    u64(bits);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
   /// Truncated to kMaxStringBytes.
@@ -65,12 +75,6 @@ class Writer {
   }
 
  private:
-  void le(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
   std::vector<std::uint8_t>* out_;
 };
 
@@ -84,18 +88,19 @@ class Reader {
     return pos_ == bytes_.size();
   }
 
-  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(le(1, "u8")); }
-  void u32(std::uint32_t& v) {
-    v = static_cast<std::uint32_t>(le(4, "u32"));
+  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(le<1>("u8")); }
+  void u16(std::uint16_t& v) {
+    v = static_cast<std::uint16_t>(le<2>("u16"));
   }
-  void u64(std::uint64_t& v) { v = le(8, "u64"); }
-  void i32(std::int32_t& v) { v = static_cast<std::int32_t>(le(4, "i32")); }
-  void i64(std::int64_t& v) { v = static_cast<std::int64_t>(le(8, "i64")); }
+  void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(le<4>("u32")); }
+  void u64(std::uint64_t& v) { v = le<8>("u64"); }
+  void i32(std::int32_t& v) { v = static_cast<std::int32_t>(le<4>("i32")); }
+  void i64(std::int64_t& v) { v = static_cast<std::int64_t>(le<8>("i64")); }
   void f64(double& v) {
-    const std::uint64_t bits = le(8, "f64");
+    const std::uint64_t bits = le<8>("f64");
     std::memcpy(&v, &bits, sizeof v);
   }
-  void boolean(bool& v) { v = le(1, "bool") != 0; }
+  void boolean(bool& v) { v = le<1>("bool") != 0; }
   void str(std::string& s) {
     const auto body = sized(kMaxStringBytes, "string");
     s.assign(body.begin(), body.end());
@@ -163,14 +168,15 @@ class Reader {
     pos_ += n;
     return bytes_.subspan(pos_ - n, n);
   }
-  /// Little-endian unsigned of `n` bytes; 0 once the payload is short.
-  std::uint64_t le(std::size_t n, const char* what) {
-    if (!need(n, what)) return 0;
+  /// Little-endian unsigned of N bytes; 0 once the payload is short.
+  template <std::size_t N>
+  std::uint64_t le(const char* what) {
+    if (!need(N, what)) return 0;
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < N; ++i) {
       v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
     }
-    pos_ += n;
+    pos_ += N;
     return v;
   }
 

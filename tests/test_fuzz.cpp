@@ -130,8 +130,14 @@ TEST(IsaFuzz, MutatedDisassemblyNeverCrashes) {
           }
           default: {  // edit digits: replace one, or grow it past any bound
             std::string& line = src[pick()];
-            const std::size_t at = line.find_first_of("0123456789");
+            std::size_t at = line.find_first_of("0123456789");
             if (at == std::string::npos) break;
+            // A random digit of the line, not always the first.
+            for (std::size_t skip = rng.next_below(4); skip > 0; --skip) {
+              const std::size_t next = line.find_first_of("0123456789", at + 1);
+              if (next == std::string::npos) break;
+              at = next;
+            }
             if (rng.next_below(2) == 0) {
               line[at] = static_cast<char>('0' + rng.next_below(10));
             } else {
