@@ -454,7 +454,7 @@ void cancel_io(Io& s, Id& target) {
 
 template <class Io, class Id, class Flag>
 void cancel_io(Io& s, Id& target, Flag& cancelled) {
-  s.u64(target);
+  cancel_io(s, target);
   s.boolean(cancelled);
 }
 
