@@ -246,6 +246,34 @@ void BM_FabricFftEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricFftEndToEnd)->Arg(16)->Arg(64)->Arg(128);
 
+// The job service's per-job FFT shape: a plan compiled once, replayed on a
+// borrowed fabric reset before every job (N=1024, M=128; arg = columns).
+void BM_FftPlanReplay(benchmark::State& state) {
+  using namespace cgra;
+  const int cols = static_cast<int>(state.range(0));
+  const auto g = fft::make_geometry(1024, 128);
+  const fft::FabricFftPlan plan = fft::compile_plan(g, cols);
+  if (!plan.ok()) {
+    state.SkipWithError("plan compile failed");
+    return;
+  }
+  SplitMix64 rng(7);
+  std::vector<fft::Cplx> x(static_cast<std::size_t>(g.n));
+  for (auto& v : x) v = {rng.next_double(-1, 1), rng.next_double(-1, 1)};
+  fabric::Fabric fab(g.rows, cols);
+  fft::FabricFftOptions opt;
+  opt.cols = cols;
+  opt.plan = &plan;
+  opt.fabric = &fab;
+  for (auto _ : state) {
+    fab.reset();
+    auto result = fft::run_fabric_fft(g, x, opt);
+    if (!result.ok()) state.SkipWithError("fabric FFT failed");
+    benchmark::DoNotOptimize(result.output.data());
+  }
+}
+BENCHMARK(BM_FftPlanReplay)->Arg(1)->Arg(10)->Unit(benchmark::kMicrosecond);
+
 void BM_JpegBlockOnFabric(benchmark::State& state) {
   using namespace cgra;
   const auto quant = jpeg::scaled_quant(50);
