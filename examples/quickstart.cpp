@@ -45,8 +45,7 @@ int main() {
   epoch.links = interconnect::LinkConfig(2, 2);
   epoch.links.set_output(0, Direction::kEast);
   config::TileUpdate update;
-  update.program = assembled.program;
-  update.reload_program = true;
+  update.program = isa::prepare(assembled.program);  // predecoded once
   epoch.tiles[0] = std::move(update);
 
   const auto report = ctrl.apply(fab, epoch);

@@ -22,9 +22,11 @@
 // None of that planning depends on the input, so it is split from the run:
 //
 //   * compile_plan(g, cols) does all of it once — the redistribution move
-//     planning, every epoch's links and tile updates (programs assembled,
-//     twiddle patches attached), the input scatter map and the readback
-//     map — and returns an immutable FabricFftPlan;
+//     planning, every epoch's links and tile updates (twiddle patches
+//     attached; each distinct program assembled and predecoded once into
+//     an isa::Image that every update streaming it shares), the input
+//     scatter map and the readback map — and returns an immutable
+//     FabricFftPlan;
 //   * run_fabric_fft replays a plan: it writes the job's input-scramble
 //     patches, then streams every plan epoch through the reconfiguration
 //     controller and runs the fabric after each, exactly as the MicroBlaze
@@ -86,6 +88,9 @@ struct PlanEpoch {
 
 /// Everything an FFT run does that does not depend on the input, for one
 /// (n, m, cols).  Immutable once compiled; safe to share between threads.
+/// Updates that reload the same program point at one shared isa::Image
+/// (N=1024, M=128: 19-24 images for 256-312 reloads), so replaying the
+/// plan copies decoded programs into the tiles and decodes nothing.
 /// (fft::FftPlan is the unrelated host reference transform's plan.)
 struct FabricFftPlan {
   Status status = Status::error("FFT plan was not compiled");
@@ -104,8 +109,9 @@ struct FabricFftPlan {
 };
 
 /// Compile the plan for `g` on `cols` tile columns.  `assemble` overrides
-/// must_assemble and `twiddles` (matching g) replaces per-stage twiddle
-/// derivation; both only save work, the plan is the same either way.
+/// must_assemble (called once per distinct program source) and `twiddles`
+/// (matching g) replaces per-stage twiddle derivation; both only save
+/// work, the plan is the same either way.
 FabricFftPlan compile_plan(
     const FftGeometry& g, int cols,
     const std::function<isa::Program(const std::string&)>& assemble = {},

@@ -197,7 +197,7 @@ JpegPipelineArtifacts pipeline_artifacts(const std::array<int, 64>& quant,
   JpegPipelineArtifacts art;
   for (int t = 0; t < 4; ++t) {
     art.stage_programs[static_cast<std::size_t>(t)] =
-        must_assemble(srcs[static_cast<std::size_t>(t)]);
+        isa::prepare(must_assemble(srcs[static_cast<std::size_t>(t)]));
   }
   art.basis = basis_patches(lay);
   art.recips = recip_patches(lay, quant);
@@ -246,7 +246,6 @@ BlockPipeline::BlockPipeline(fabric::Fabric& fab,
   for (int t = 0; t < 4; ++t) {
     config::TileUpdate update;
     update.program = art.stage_programs[static_cast<std::size_t>(t)];
-    update.reload_program = true;
     update.restart = false;  // per stage in encode(), per stream beat
     if (t == 1) update.patches = art.basis;
     if (t == 2) update.patches = art.recips;
@@ -255,8 +254,8 @@ BlockPipeline::BlockPipeline(fabric::Fabric& fab,
   const auto report = ctrl.apply(fab_, setup);
   setup_ns_ = report.total_ns();
   for (int t = 0; t < 4; ++t) {
-    const auto& prog = art.stage_programs[static_cast<std::size_t>(t)];
-    if (fab_.tile(t).code_size() != static_cast<int>(prog.code.size())) {
+    const auto& image = *art.stage_programs[static_cast<std::size_t>(t)];
+    if (fab_.tile(t).code_size() != image.inst_words()) {
       setup_ = Status::errorf("stage %d program does not fit the tile", t);
       return;
     }

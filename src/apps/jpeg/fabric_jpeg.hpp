@@ -111,11 +111,13 @@ struct FabricBlockResult {
 };
 
 /// The content the 1x4 transform pipeline streams through the ICAP: the
-/// four assembled stage programs (compute + block send) plus the constant
-/// tables.  Pure function of the quantiser, so a warm runtime caches one
-/// per quant table and shares it across every block job.
+/// four stage programs (compute + block send), each assembled and prepared
+/// once as a shared isa::Image, plus the constant tables.  Pure function of
+/// the quantiser, so a warm runtime caches one per quant table and shares
+/// it across every block job; a setup epoch copies the images into the
+/// tiles and decodes nothing.
 struct JpegPipelineArtifacts {
-  std::array<isa::Program, 4> stage_programs;
+  std::array<isa::ImagePtr, 4> stage_programs;
   std::vector<isa::DataPatch> basis;   ///< Q12 DCT basis for the DCT tile.
   std::vector<isa::DataPatch> recips;  ///< Q16 reciprocals for quantize.
 };

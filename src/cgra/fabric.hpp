@@ -33,6 +33,7 @@
 #include "isa/assembler.hpp"
 #include "isa/decoded.hpp"
 #include "isa/disassembler.hpp"
+#include "isa/image.hpp"
 #include "isa/instruction.hpp"
 #include "isa/program.hpp"
 

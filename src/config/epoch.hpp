@@ -12,16 +12,19 @@
 #include <vector>
 
 #include "interconnect/link.hpp"
+#include "isa/image.hpp"
 #include "isa/program.hpp"
 
 namespace cgra::config {
 
 /// What one tile receives at an epoch boundary.
 struct TileUpdate {
-  /// Full reprogram (replaces instruction memory, applies its data patches).
-  /// Empty code + empty data means "no instruction reload".
-  isa::Program program;
-  bool reload_program = false;
+  /// Full reprogram: the prepared image installed by Tile::load (replaces
+  /// instruction memory, applies its data patches).  Null means "no
+  /// instruction reload".  Emitters share one image between every update
+  /// that carries the same program, so a reload copies decoded records
+  /// and decodes nothing.
+  isa::ImagePtr program;
 
   /// Additional data-only patches (e.g. new twiddle factors, new copy
   /// source/destination variables).
@@ -33,10 +36,10 @@ struct TileUpdate {
 
   /// Reconfiguration payload in ICAP words.
   [[nodiscard]] int inst_words() const noexcept {
-    return reload_program ? program.inst_words() : 0;
+    return program ? program->inst_words() : 0;
   }
   [[nodiscard]] int data_words() const noexcept {
-    return (reload_program ? program.data_words() : 0) +
+    return (program ? program->data_words() : 0) +
            static_cast<int>(patches.size());
   }
 };

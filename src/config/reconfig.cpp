@@ -9,18 +9,17 @@ namespace {
 
 /// True when the tile's memories hold exactly what `update` intended.
 bool readback_matches(const fabric::Tile& tile, const TileUpdate& update) {
-  if (update.reload_program) {
-    if (tile.code_size() != static_cast<int>(update.program.code.size())) {
-      return false;
-    }
+  if (update.program) {
+    const isa::Image& image = *update.program;
+    if (tile.code_size() != image.inst_words()) return false;
     for (int i = 0; i < tile.code_size(); ++i) {
       const isa::Instruction* got = tile.instruction_at(i);
       if (got == nullptr ||
-          !(*got == update.program.code[static_cast<std::size_t>(i)])) {
+          !(*got == image.code()[static_cast<std::size_t>(i)])) {
         return false;
       }
     }
-    for (const auto& patch : update.program.data) {
+    for (const auto& patch : image.data()) {
       if (tile.dmem(patch.addr) != truncate_word(patch.value)) return false;
     }
   }
@@ -64,9 +63,10 @@ Nanoseconds ReconfigController::stream_tile(fabric::Fabric& fabric,
   auto& tile = fabric.tile(tile_index);
   const IcapFaultOptions& opts = fault_options_;
 
-  // Zero-fault fast path: no payload copies, no verification.
+  // Zero-fault fast path: the prepared image is installed as is — no
+  // payload copies, no decoding, no verification.
   if (opts.tap == nullptr && !opts.verify_readback) {
-    if (update.reload_program) tile.load_program(update.program);
+    if (update.program) tile.load(*update.program);
     if (!update.patches.empty()) tile.patch_data(update.patches);
     return payload_ns;
   }
@@ -77,12 +77,15 @@ Nanoseconds ReconfigController::stream_tile(fabric::Fabric& fabric,
   for (int attempt = 0;; ++attempt) {
     // The tap sees (and may corrupt) a copy of the words in flight; the
     // pristine `update` stays available for verification and re-streaming.
-    isa::Program streamed = update.program;
+    // The streamed copy is decoded afresh, so a corrupted word reaches the
+    // tile as it arrived.
+    isa::Program streamed =
+        update.program ? update.program->program() : isa::Program{};
     std::vector<isa::DataPatch> patches = update.patches;
     if (opts.tap != nullptr) {
       opts.tap->on_stream(tile_index, attempt, streamed, patches);
     }
-    if (update.reload_program) tile.load_program(streamed);
+    if (update.program) tile.load_program(streamed);
     if (!patches.empty()) tile.patch_data(patches);
 
     if (attempt == 0) {

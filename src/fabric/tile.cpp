@@ -30,15 +30,15 @@ Tile& Tile::operator=(const Tile& other) {
   return *this;
 }
 
-bool Tile::load_program(const isa::Program& prog) {
+bool Tile::load(const isa::Image& image) {
   if (dead_) return false;
-  if (prog.inst_words() > kInstMemWords) return false;
-  for (const auto& patch : prog.data) {
+  if (image.inst_words() > kInstMemWords) return false;
+  for (const auto& patch : image.data()) {
     if (patch.addr < 0 || patch.addr >= kDataMemWords) return false;
   }
-  code_ = prog.code;
-  decoded_ = isa::predecode_all(code_);
-  for (const auto& patch : prog.data) {
+  code_.assign(image.code().begin(), image.code().end());
+  decoded_.assign(image.decoded().begin(), image.decoded().end());
+  for (const auto& patch : image.data()) {
     dmem_[static_cast<std::size_t>(patch.addr)] = truncate_word(patch.value);
   }
   pc_ = 0;
@@ -47,6 +47,10 @@ bool Tile::load_program(const isa::Program& prog) {
   ++code_version_;
   notify_scheduler();
   return true;
+}
+
+bool Tile::load_program(const isa::Program& prog) {
+  return load(isa::Image(prog));
 }
 
 bool Tile::patch_data(std::span<const isa::DataPatch> patches) {

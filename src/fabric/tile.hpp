@@ -6,12 +6,14 @@
 // can write either its own memory or — via the active output link — the
 // data memory of the connected neighbour.
 //
-// Fast path: load_program() predecodes the instruction image into flat
-// isa::DecodedInstr records (flags pre-split, immediates pre-converted,
-// operand roles resolved), so step() dispatches on plain fields.  The
-// encoded isa::Instruction image is kept alongside for readback-verify,
-// tracing and fault injection; flip_inst_bit re-predecodes the poked slot
-// so the two images never diverge.
+// Fast path: step() dispatches on flat isa::DecodedInstr records (flags
+// pre-split, immediates pre-converted, operand roles resolved).  They are
+// decoded once, when a program is prepared as an isa::Image; load() copies
+// the image's code and decoded records into the tile's own vectors, so a
+// reconfiguration decodes nothing and the hot loop indexes tile-owned
+// memory.  The isa::Instruction image is kept alongside for
+// readback-verify, tracing and fault injection; flip_inst_bit re-predecodes
+// the poked slot so the two never diverge.
 #pragma once
 
 #include <array>
@@ -24,6 +26,7 @@
 #include "common/timing.hpp"
 #include "common/word.hpp"
 #include "isa/decoded.hpp"
+#include "isa/image.hpp"
 #include "isa/program.hpp"
 
 namespace cgra::fabric {
@@ -91,11 +94,15 @@ class Tile {
   Tile(Tile&&) noexcept = default;
   Tile& operator=(Tile&&) noexcept = default;
 
-  /// Load a program: replaces the instruction image, applies data patches
-  /// and resets the PC.  The tile stays halted until restart() — mirroring
-  /// the runtime system configuring a partition before releasing it.
-  /// Returns false (and loads nothing) if the program exceeds the memories
-  /// or the tile is dead.
+  /// Install a prepared image: replaces the instruction image (copying
+  /// its decoded records, reusing this tile's capacity), applies its data
+  /// patches, clears any fault and resets the PC.  The tile stays halted
+  /// until restart() — mirroring the runtime system configuring a
+  /// partition before releasing it.  Returns false (and loads nothing) if
+  /// the image exceeds the memories or the tile is dead.
+  bool load(const isa::Image& image);
+
+  /// Prepare `prog` (isa::Image) and load() it.
   bool load_program(const isa::Program& prog);
 
   /// Apply data patches only (e.g. reloading twiddle factors or copy-process
@@ -146,7 +153,7 @@ class Tile {
     return static_cast<int>(code_.size());
   }
   /// Monotonic counter bumped whenever the instruction image may have
-  /// changed (load_program, flip_inst_bit, reset, copy-assign).  Execution
+  /// changed (load, flip_inst_bit, reset, copy-assign).  Execution
   /// engines key per-tile specialization caches on it and re-specialize
   /// when it moves — the "re-specialized on imem pokes" contract.
   [[nodiscard]] std::uint64_t code_version() const noexcept {

@@ -5,8 +5,9 @@
 // whether the destination is written, every addressing-mode flag bit, the
 // sign-extended immediate, and whether a direct address field is inside the
 // 512-word data memory.  A DecodedInstr resolves all of that once, when a
-// program is loaded (or when fault injection pokes an instruction slot), so
-// the per-cycle dispatch touches only plain pre-split fields.
+// program is prepared (isa::Image) or when fault injection pokes an
+// instruction slot, so the per-cycle dispatch touches only plain pre-split
+// fields.
 //
 // Invariants (docs/ARCHITECTURE.md, "Execution engine"):
 //   * predecode(decode(encode(i))) is consistent with interpreting `i`
@@ -58,7 +59,7 @@ struct DecodedInstr {
 /// Flatten one instruction.  Handles the poisoned kOpcodeCount slot.
 [[nodiscard]] DecodedInstr predecode(const Instruction& in) noexcept;
 
-/// Flatten a whole instruction image (load_program).
+/// Flatten a whole instruction image (isa::Image preparation).
 [[nodiscard]] std::vector<DecodedInstr> predecode_all(
     const std::vector<Instruction>& code);
 

@@ -19,8 +19,8 @@ namespace {
 
 /// A copy-loop program: `words` words from src_base to the neighbour's
 /// dst_base (remote) with pointers in the transit control slots.
-isa::Program copy_program(int words, int src_base, int dst_base,
-                          int ctrl_base) {
+isa::ImagePtr copy_program(int words, int src_base, int dst_base,
+                           int ctrl_base) {
   std::ostringstream os;
   os << ".equ ps, " << ctrl_base << "\n"
      << ".equ pd, " << ctrl_base + 1 << "\n"
@@ -42,7 +42,7 @@ isa::Program copy_program(int words, int src_base, int dst_base,
                  result.status.message().c_str());
     std::abort();
   }
-  return std::move(result.program);
+  return isa::prepare(result.program);
 }
 
 }  // namespace
@@ -168,7 +168,6 @@ CompiledSchedule compile_item_schedule(const procnet::ProcessNetwork& net,
         TileUpdate update;
         update.program =
             copy_program(producer.words, src_base, dst_base, transit_ctrl);
-        update.reload_program = true;
         hop.tiles[hop_from] = std::move(update);
         out.epochs.push_back(std::move(hop));
         // The cp loop retires 5 instructions per word plus setup/halt.
@@ -182,8 +181,7 @@ CompiledSchedule compile_item_schedule(const procnet::ProcessNetwork& net,
     epoch.name = "run-" + net.process(pid).name;
     epoch.links = idle_links;
     TileUpdate update;
-    update.program = impl.program;
-    update.reload_program = true;
+    update.program = isa::prepare(impl.program);
     update.patches = impl.constants;
     epoch.tiles[tile] = std::move(update);
     out.epochs.push_back(std::move(epoch));

@@ -24,8 +24,7 @@ EpochConfig epoch_with_program(int rows, int cols, int tile,
   EpochConfig e;
   e.links = LinkConfig(rows, cols);
   TileUpdate u;
-  u.program = prog(src);
-  u.reload_program = true;
+  u.program = isa::prepare(prog(src));
   e.tiles[tile] = std::move(u);
   return e;
 }
@@ -97,8 +96,7 @@ TEST(Reconfig, SerialIcapSerialisesTwoTiles) {
   e.links = LinkConfig(1, 2);
   for (int t = 0; t < 2; ++t) {
     TileUpdate u;
-    u.program = prog("  nop\n  halt\n");
-    u.reload_program = true;
+    u.program = isa::prepare(prog("  nop\n  halt\n"));
     e.tiles[t] = std::move(u);
   }
   const auto rep = ctrl.apply(f, e);

@@ -109,8 +109,7 @@ TEST(PartialReconfig, FullStallDelaysUntouchedTiles) {
     big.code.resize(399);
     big.code.push_back(
         isa::Instruction{isa::Opcode::kHalt, 0, 0, 0, 0, 0});
-    u.program = big;
-    u.reload_program = true;
+    u.program = isa::prepare(big);
     e.tiles[1] = std::move(u);
     ctrl.apply(fab, e);
     return fab.run(1'000'000);
