@@ -394,6 +394,45 @@ TEST(MapperGolden, ExactFuzzGraphsDigest) {
       << "first record: " << records.substr(0, records.find('\n'));
 }
 
+TEST(MapperGolden, ExactFuzzGraphsDigestOn4x4Budgets) {
+  // Several replicable groups and long replication ranges: budgets of 12 to
+  // 16 tiles on a 4x4 mesh give the partition search's emission many
+  // levels per group, most of them over budget.  The node budget caps the
+  // placement searches (half of these proofs stay open) so the test stays
+  // fast under sanitizers; every partition is still enumerated.
+  SplitMix64 rng(0xE4);
+  std::string records;
+  for (int i = 0; i < 20; ++i) {
+    const auto net = random_network(rng, 7);
+    MapperOptions opt;
+    opt.solver = SolverKind::kExact;
+    opt.max_tiles = 12 + i % 5;
+    opt.node_budget = 50'000;
+    const auto mapped = map_network(net, 4, 4, opt);
+    ASSERT_TRUE(mapped.ok()) << "graph " << i;
+    records += mapping_record(net, mapped) + "\n";
+  }
+  EXPECT_EQ(service::fnv1a(records), 0xa28b0c5f46db2e2eull)
+      << "first record: " << records.substr(0, records.find('\n'));
+}
+
+TEST(MapperGolden, AnnealFuzzGraphsDigest) {
+  // The 100 graphs of MapperFuzz.AnnealMappingsAreLegalOnRandomGraphs (all
+  // 100 even under sanitizers): unlike the Table-4 networks, they have
+  // several replicable groups, so replicate, dereplicate and relocations
+  // within replicated groups all decide part of these mappings.
+  SplitMix64 rng(0xA2);
+  std::string records;
+  for (int i = 0; i < 100; ++i) {
+    const auto net = random_network(rng, 16);
+    const auto mapped = map_network(net, 5, 5, fast_anneal(17 + i));
+    ASSERT_TRUE(mapped.ok()) << "graph " << i;
+    records += mapping_record(net, mapped) + "\n";
+  }
+  EXPECT_EQ(service::fnv1a(records), 0xe37ea17031557faaull)
+      << "first record: " << records.substr(0, records.find('\n'));
+}
+
 /// A cost model whose copy and link costs are not integers, so any change
 /// of summation order would show in the low bits.
 CostModel fractional_cost() {
