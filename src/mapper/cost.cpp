@@ -154,8 +154,8 @@ MappedCost Scorer::route(const Binding& binding,
     int from = 0;
     int to = 0;
     const int hops =
-        worst_pair(mesh_, tile_of[static_cast<std::size_t>(ga)],
-                   tile_of[static_cast<std::size_t>(gb)], &from, &to);
+        mesh_.worst_pair(tile_of[static_cast<std::size_t>(ga)],
+                         tile_of[static_cast<std::size_t>(gb)], &from, &to);
     // shortest_route's row-first hops, claiming links as plan_links does.
     int switched = 0;
     auto hop = [&](int& cur, interconnect::Direction dir, int step) {
@@ -169,7 +169,7 @@ MappedCost Scorer::route(const Binding& binding,
     };
     using interconnect::Direction;
     int cur = from;
-    const int cols = mesh_.cols();
+    const int cols = mesh_.cols;
     const int to_row = to / cols;
     while (cur / cols < to_row) hop(cur, Direction::kSouth, cols);
     while (cur / cols > to_row) hop(cur, Direction::kNorth, -cols);

@@ -82,13 +82,56 @@ MappedCost score_mapping(const procnet::ProcessNetwork& net,
                          const mapping::Placement& placement,
                          const CostModel& cost);
 
+/// Mesh distance tables, built once per map() call: the scorer routes
+/// with them and the exact search bounds with them.
+struct MeshDistances {
+  MeshDistances(int mesh_rows, int mesh_cols);
+
+  /// Floor on the worst replica-pair distance of an edge between groups of
+  /// `ra` and `rb` replicas, however they are placed (ra + rb <= tiles):
+  /// each replica of one side reaches as many distinct other tiles as the
+  /// other side has replicas.
+  [[nodiscard]] int pair_floor(int ra, int rb) const {
+    return std::max(kth[static_cast<std::size_t>(ra)],
+                    kth[static_cast<std::size_t>(rb)]);
+  }
+
+  /// plan_links' worst replica pair, read from `dist`: the first pair of
+  /// maximal distance in replica order.  Returns that distance.
+  int worst_pair(const std::vector<int>& from_tiles,
+                 const std::vector<int>& to_tiles, int* from,
+                 int* to) const {
+    int best = -1;
+    for (const int ta : from_tiles) {
+      const int* row = &dist[static_cast<std::size_t>(ta * tiles)];
+      for (const int tb : to_tiles) {
+        if (row[tb] > best) {
+          best = row[tb];
+          *from = ta;
+          *to = tb;
+        }
+      }
+    }
+    return best;
+  }
+
+  int rows = 0;
+  int cols = 0;
+  int tiles = 0;
+  std::vector<int> dist;  ///< dist[a * tiles + b]: Manhattan distance.
+  /// kth[k] (0 < k < tiles): the smallest k-th-nearest-other-tile distance
+  /// over every tile of the mesh; kth[0] = 0.
+  std::vector<int> kth;
+};
+
 /// Allocation-free scorer for one (network, mesh, cost model): the
 /// annealer scores every proposal with it and the exact search every
 /// placement leaf.  It reuses its scratch (process owners, steady links)
-/// across calls, orders the edges hottest-first once, walks each row-first
-/// route in place, and sums copy and link costs in plan_links' order, so
-/// its doubles are bit-equal to score_mapping's.  plan_links stays the
-/// output path (it also records routes) and bench_mapper's yardstick.
+/// across calls, orders the edges hottest-first once, reads replica
+/// distances from its MeshDistances, walks each row-first route in place,
+/// and sums copy and link costs in plan_links' order, so its doubles are
+/// bit-equal to score_mapping's.  plan_links stays the output path (it
+/// also records routes) and bench_mapper's yardstick.
 class Scorer {
  public:
   Scorer(const procnet::ProcessNetwork& net, int mesh_rows, int mesh_cols,
@@ -103,35 +146,16 @@ class Scorer {
   [[nodiscard]] MappedCost route(const mapping::Binding& binding,
                                  const std::vector<std::vector<int>>& tile_of);
 
+  /// The mesh's distance tables, shared with the exact search's bounds.
+  [[nodiscard]] const MeshDistances& distances() const { return mesh_; }
+
  private:
   const procnet::ProcessNetwork& net_;
   const CostModel& cost_;
-  interconnect::LinkConfig mesh_;
+  MeshDistances mesh_;
   std::vector<int> hot_;             ///< Edge ids, hottest first (stable).
   std::vector<int> owner_;           ///< Group of each process.
   std::vector<std::uint8_t> steady_; ///< Claimed output direction per tile.
-};
-
-/// Mesh distance tables for the exact search, built once per map() call.
-struct MeshDistances {
-  MeshDistances(int mesh_rows, int mesh_cols);
-
-  /// Floor on the worst replica-pair distance of an edge between groups of
-  /// `ra` and `rb` replicas, however they are placed (ra + rb <= tiles):
-  /// each replica of one side reaches as many distinct other tiles as the
-  /// other side has replicas.
-  [[nodiscard]] int pair_floor(int ra, int rb) const {
-    return std::max(kth[static_cast<std::size_t>(ra)],
-                    kth[static_cast<std::size_t>(rb)]);
-  }
-
-  int rows = 0;
-  int cols = 0;
-  int tiles = 0;
-  std::vector<int> dist;  ///< dist[a * tiles + b]: Manhattan distance.
-  /// kth[k] (0 < k < tiles): the smallest k-th-nearest-other-tile distance
-  /// over every tile of the mesh; kth[0] = 0.
-  std::vector<int> kth;
 };
 
 /// Deterministic topological order (procnet::topological_order, re-exported

@@ -27,6 +27,7 @@
 // its II and tile count) and becomes a Binding only when it is searched.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "mapper/mapper.hpp"
 
@@ -376,14 +377,23 @@ class PartitionSearch {
   /// The all-ones vector comes first; vectors are deduplicated, and only
   /// those whose tile sum fits the budget and whose II is below the prune
   /// bound are kept.
+  ///
+  /// Every r_i(t) is nonincreasing in t, so one partition's vectors form
+  /// a chain: of two levels, the lower one's vector is at least the other
+  /// one's in every group.  Hence a lower level never needs fewer tiles
+  /// (a group's levels stop at the first one over budget), and two of the
+  /// vectors are equal exactly when their tile sums are (dedup by tiles).
   void emit() {
     const std::size_t g = groups_.size();
     auto& reps = pool_->reps;
     const std::size_t first_rep = reps.size();
     const int partition = static_cast<int>(pool_->group_counts.size());
     r_.resize(g);
+    // Bit n set: a stored vector has n tiles (n <= budget <= 16).
+    std::uint32_t stored_tiles = 0;
+    // Returns false when level t needs more tiles than the budget.
     auto add_level = [&](double t) {
-      if (t <= 0.0) return;
+      if (t <= 0.0) return true;
       int tiles = 0;
       for (std::size_t i = 0; i < g; ++i) {
         r_[i] = 1;
@@ -392,25 +402,21 @@ class PartitionSearch {
         }
         tiles += r_[i];
       }
-      if (tiles > budget_) return;
+      if (tiles > budget_) return false;
+      // A vector whose II misses the bound is not stored; a duplicate of
+      // it is recomputed and dropped again.
+      if ((stored_tiles >> tiles) & 1u) return true;
       // II folds max(busy / r) from 0.0 in group order, as
       // mapping::evaluate does, so it is bit-equal to evaluate's ii_ns.
       Nanoseconds ii = 0.0;
       for (std::size_t i = 0; i < g; ++i) {
         ii = std::max(ii, busy_[i] / static_cast<double>(r_[i]));
       }
-      // A vector whose II misses the bound is not stored; a duplicate of
-      // it is recomputed and dropped again, so skipping it in the dedup
-      // changes nothing.
-      if (!(ii < prune_above_)) return;
-      for (std::size_t at = first_rep; at < reps.size(); at += g) {
-        if (std::equal(r_.begin(), r_.end(),
-                       reps.begin() + static_cast<std::ptrdiff_t>(at))) {
-          return;
-        }
-      }
+      if (!(ii < prune_above_)) return true;
+      stored_tiles |= 1u << tiles;
       out_->push_back({partition, static_cast<int>(reps.size()), ii, tiles});
       reps.insert(reps.end(), r_.begin(), r_.end());
+      return true;
     };
     add_level(*std::max_element(busy_.begin(), busy_.end()));  // all ones
     // Every group's busy/k is a candidate level, k = 1 included: a slow
@@ -421,8 +427,10 @@ class PartitionSearch {
     for (std::size_t i = 0; i < g; ++i) {
       const int k_max =
           replicable(i) ? budget_ - static_cast<int>(g) + 1 : 1;
+      // busy_i / k falls as k grows, so past the first level over budget
+      // every level is over budget too.
       for (int k = 1; k <= k_max; ++k) {
-        add_level(busy_[i] / static_cast<double>(k));
+        if (!add_level(busy_[i] / static_cast<double>(k))) break;
       }
     }
     if (reps.size() > first_rep) {
@@ -500,19 +508,27 @@ MappedNetwork ExactMapper::map(const ProcessNetwork& net, int mesh_rows,
   PartitionSearch partitions(net, budget, cost.params, &pool, &nodes_left);
   bool proof = partitions.run(best_total, &candidates);
 
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     if (a.ii_ns != b.ii_ns) return a.ii_ns < b.ii_ns;
-                     return a.tiles < b.tiles;
-                   });
+  // Candidates are visited by rising (II, tiles), ties in emission order,
+  // which is the order of their replication offsets: a min-heap pops them
+  // in the order a stable sort would list them, and the search below
+  // usually stops after a small fraction of them.
+  const auto later = [](const Candidate& a, const Candidate& b) {
+    if (a.ii_ns != b.ii_ns) return a.ii_ns > b.ii_ns;
+    if (a.tiles != b.tiles) return a.tiles > b.tiles;
+    return a.replication > b.replication;
+  };
+  std::make_heap(candidates.begin(), candidates.end(), later);
 
   // When no candidate's II beats the seed (as in most small cases), no
   // placement tables are built.
   if (!candidates.empty()) {
-    const MeshDistances mesh(mesh_rows, mesh_cols);
     Scorer scorer(net, mesh_rows, mesh_cols, cost);
+    const MeshDistances& mesh = scorer.distances();
     int searched = 0;
-    for (const auto& cand : candidates) {
+    while (!candidates.empty()) {
+      std::pop_heap(candidates.begin(), candidates.end(), later);
+      const Candidate cand = candidates.back();
+      candidates.pop_back();
       // II bounds any placement's total, and with the replica-distance
       // floors so does II + floor_ns; a candidate ruled out by the latter is
       // neither searched nor counted.
